@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- --paper-scale table1   # k=8 fat tree
      dune exec bench/main.exe -- micro        # bechamel micro-benches
      dune exec bench/main.exe -- perf         # tracked perf baseline
-     dune exec bench/main.exe -- perf --quick --out BENCH_PR5.json *)
+     dune exec bench/main.exe -- perf --quick --out perf.json  # new file *)
 
 module E = Xmp_experiments
 module Runner = Xmp_runner.Runner
@@ -176,8 +176,9 @@ let usage () =
   Printf.printf "  %-22s %s\n" "micro"
     "simulator micro-benchmarks (never cached)";
   Printf.printf "  %-22s %s\n" "perf"
-    "pinned-scenario perf baseline -> BENCH_PR5.json (never cached; \
-     --out to rename; --compare FILE to gate on a committed baseline)"
+    "pinned-scenario perf baseline (never cached; --out FILE writes a new \
+     JSON record, never overwriting one; --compare FILE gates on a \
+     committed baseline)"
 
 let () =
   (* The simulator's live heap is small relative to its allocation rate,
@@ -191,7 +192,7 @@ let () =
   let selected = ref [] in
   let jobs = ref 1 in
   let cache = ref (Runner.Cache_dir Xmp_runner.Cache.default_dir) in
-  let perf_out = ref "BENCH_PR5.json" in
+  let perf_out = ref None in
   let perf_compare = ref None in
   let bad = ref false in
   let rec parse = function
@@ -200,7 +201,7 @@ let () =
       mode := Quick;
       parse rest
     | "--out" :: path :: rest ->
-      perf_out := path;
+      perf_out := Some path;
       parse rest
     | [ "--out" ] ->
       prerr_endline "--out needs a path argument";
@@ -252,7 +253,7 @@ let () =
   if run_micro then micro ();
   if run_perf then begin
     let ok =
-      Perf.run ~quick:(!mode = Quick) ~out:!perf_out ?compare:!perf_compare ()
+      Perf.run ~quick:(!mode = Quick) ?out:!perf_out ?compare:!perf_compare ()
     in
     (* a >15% events/s drop against the baseline is a hard failure *)
     if not ok then exit 1

@@ -4,10 +4,11 @@
    measurement must run in-process and uncached: each pinned scenario is
    executed directly with its stdout captured, and we record wall time,
    simulation events executed (process-wide counter delta), the event
-   heap's high-water mark and major-heap words allocated. Results land in
-   a committed BENCH_PR5.json so later PRs have a perf trajectory to
-   compare against; the numbers are machine-dependent, so CI only checks
-   the file is produced and that the run leaves golden digests intact —
+   heap's high-water mark and major-heap words allocated. With --out the
+   results land in a new JSON file (an existing one is never overwritten)
+   that can be committed as a BENCH_PR<n>.json point of the perf
+   trajectory; the numbers are machine-dependent, so CI only checks the
+   file is produced and that the run leaves golden digests intact —
    regressions in *behaviour* are caught byte-exactly, regressions in
    *speed* by comparing trajectories across commits on like hardware.
 
@@ -180,7 +181,16 @@ let compare_against ~baseline results =
           ok && not fail)
         true shared
 
-let run ~quick ~out ?compare () =
+let run ~quick ?out ?compare () =
+  (* a record is written once: refuse before measuring rather than
+     overwrite a committed result *)
+  Option.iter
+    (fun path ->
+      if Sys.file_exists path then begin
+        Printf.eprintf "perf: %s exists; refusing to overwrite it\n" path;
+        exit 2
+      end)
+    out;
   let scenarios = List.map resolve (pinned ~quick) in
   E.Render.heading "Perf benchmark (pinned scenarios, in-process, uncached)";
   Printf.printf "%-16s %12s %9s %14s %10s %13s\n" "scenario" "events"
@@ -194,8 +204,11 @@ let run ~quick ~out ?compare () =
         r)
       scenarios
   in
-  write_json ~path:out results;
-  Printf.printf "wrote %s\n" out;
+  Option.iter
+    (fun path ->
+      write_json ~path results;
+      Printf.printf "wrote %s\n" path)
+    out;
   match compare with
   | None -> true
   | Some baseline -> compare_against ~baseline results

@@ -739,38 +739,45 @@ let trunk_conv =
               "bad trunk spec %S (use DELAY_MS[:RATE_GBPS[:QUEUE_PKTS[:MARK_PKTS]]])"
               s))
     in
+    (* the fields after DELAY_MS; [None] when malformed *)
+    let build ~delay = function
+      | [] -> Some (Wan.trunk ~delay ())
+      | [ gbps ] -> (
+        match float_of_string_opt gbps with
+        | Some g when g > 0. -> Some (Wan.trunk ~delay ~rate:(Units.gbps g) ())
+        | _ -> None)
+      | [ gbps; queue ] -> (
+        match (float_of_string_opt gbps, int_of_string_opt queue) with
+        | Some g, Some q when g > 0. && q >= 1 ->
+          Some (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
+        | _ -> None)
+      | [ gbps; queue; mark ] -> (
+        match
+          ( float_of_string_opt gbps,
+            int_of_string_opt queue,
+            int_of_string_opt mark )
+        with
+        | Some g, Some q, Some 0 when g > 0. && q >= 1 ->
+          Some (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
+        | Some g, Some q, Some m when g > 0. && q >= 1 && m >= 1 ->
+          Some
+            (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q
+               ~marking_threshold:m ())
+        | _ -> None)
+      | _ -> None
+    in
     match fields with
     | delay_ms :: rest -> (
-      match (float_of_string_opt delay_ms, rest) with
-      | (None | Some 0.), _ -> bad ()
-      | Some ms, _ when ms < 0. -> bad ()
-      | Some ms, rest -> (
+      match float_of_string_opt delay_ms with
+      | Some ms when Float.is_finite ms && ms > 0. -> (
+        (* delays are whole nanoseconds: one that rounds to 0 is none *)
         let delay = Time.of_float_s (ms /. 1000.) in
-        match rest with
-        | [] -> Ok (Wan.trunk ~delay ())
-        | [ gbps ] -> (
-          match float_of_string_opt gbps with
-          | Some g when g > 0. -> Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ())
-          | _ -> bad ())
-        | [ gbps; queue ] -> (
-          match (float_of_string_opt gbps, int_of_string_opt queue) with
-          | Some g, Some q when g > 0. && q >= 1 ->
-            Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
-          | _ -> bad ())
-        | [ gbps; queue; mark ] -> (
-          match
-            ( float_of_string_opt gbps,
-              int_of_string_opt queue,
-              int_of_string_opt mark )
-          with
-          | Some g, Some q, Some 0 when g > 0. && q >= 1 ->
-            Ok (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q ())
-          | Some g, Some q, Some m when g > 0. && q >= 1 && m >= 1 ->
-            Ok
-              (Wan.trunk ~delay ~rate:(Units.gbps g) ~queue_pkts:q
-                 ~marking_threshold:m ())
-          | _ -> bad ())
-        | _ -> bad ()))
+        if Time.compare delay Time.zero <= 0 then bad ()
+        else
+          match build ~delay rest with
+          | Some trunk -> Ok trunk
+          | None | (exception Invalid_argument _) -> bad ())
+      | _ -> bad ())
     | [] -> bad ()
   in
   let print fmt (t : Wan.trunk) =

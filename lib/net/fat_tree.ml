@@ -1,203 +1,54 @@
-module Time = Xmp_engine.Time
+type locality = Fabric.locality =
+  | Inner_rack
+  | Inter_rack
+  | Inter_pod
+  | Inter_dc
 
-type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
+let locality_name = Fabric.locality_name
 
-let locality_name = function
-  | Inner_rack -> "Inner-Rack"
-  | Inter_rack -> "Inter-Rack"
-  | Inter_pod -> "Inter-Pod"
-  | Inter_dc -> "Inter-DC"
-
-let pp_locality fmt l = Format.pp_print_string fmt (locality_name l)
-
-type t = {
-  k : int;
-  net : Network.t;
-  host_base : int;
-  n_hosts : int;
-  rack_delay : Time.t;
-  agg_delay : Time.t;
-  core_delay : Time.t;
-}
+type t = Fabric.t
 
 let layers = [ "core"; "aggregation"; "rack" ]
 
-(* Host index [i] decomposes as (pod, edge, slot) with k/2 hosts per edge
-   switch and (k/2)^2 hosts per pod. *)
-let decompose ~k i =
-  let half = k / 2 in
-  let per_pod = half * half in
-  (i / per_pod, i mod per_pod / half, i mod half)
-
-let create ~net ~k ?(rate = Units.gbps 1.) ?(rack_delay = Time.us 20)
-    ?(agg_delay = Time.us 30) ?(core_delay = Time.us 40) ~disc () =
+let create ~net ~k ~disc () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Fat_tree.create: k";
-  let half = k / 2 in
-  let n_hosts = k * half * half in
-  let hosts =
-    Array.init n_hosts (fun i ->
-        let pod, edge, slot = decompose ~k i in
-        Network.add_host net
-          ~name:(Printf.sprintf "h%d.%d.%d" pod edge slot))
-  in
-  let edges =
-    Array.init k (fun pod ->
-        Array.init half (fun e ->
-            Network.add_switch net ~name:(Printf.sprintf "e%d.%d" pod e)))
-  in
-  let aggs =
-    Array.init k (fun pod ->
-        Array.init half (fun a ->
-            Network.add_switch net ~name:(Printf.sprintf "a%d.%d" pod a)))
-  in
-  let cores =
-    Array.init half (fun g ->
-        Array.init half (fun c ->
-            Network.add_switch net ~name:(Printf.sprintf "c%d.%d" g c)))
-  in
-  let host_base = Node.id hosts.(0) in
-  (* Rack layer: host [slot]'s uplink is its port 0; edge switch port to
-     host [slot] is port [slot]. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for slot = 0 to half - 1 do
-        let i = (pod * half * half) + (e * half) + slot in
-        ignore
-          (Network.connect net ~tag:"rack" ~rate ~delay:rack_delay ~disc
-             hosts.(i)
-             edges.(pod).(e))
-      done
-    done
-  done;
-  (* Aggregation layer: edge port to agg [a] is [half + a]; agg port to
-     edge [e] is [e]. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for a = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"aggregation" ~rate ~delay:agg_delay
-             ~disc
-             edges.(pod).(e)
-             aggs.(pod).(a))
-      done
-    done
-  done;
-  (* Core layer: agg [a] port to core offset [c] is [half + c]; core (g,c)
-     port to pod [pod] is [pod]. Loop pods outer so core ports land in pod
-     order. *)
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      for c = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"core" ~rate ~delay:core_delay ~disc
-             aggs.(pod).(a)
-             cores.(a).(c))
-      done
-    done
-  done;
-  let host_index id = id - host_base in
-  let pod_of id = host_index id / (half * half) in
-  let edge_of id = host_index id mod (half * half) / half in
-  let slot_of id = host_index id mod half in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      Node.set_route
-        edges.(pod).(e)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod && edge_of dst = e then slot_of dst
-          else begin
-            let a =
-              if pod_of dst = pod then Packet.path p mod half
-              else Packet.path p / half mod half
-            in
-            half + a
-          end)
-    done;
-    for a = 0 to half - 1 do
-      Node.set_route
-        aggs.(pod).(a)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod then edge_of dst
-          else half + (Packet.path p mod half))
-    done
-  done;
-  for g = 0 to half - 1 do
-    for c = 0 to half - 1 do
-      Node.set_route cores.(g).(c) (fun p -> pod_of (Packet.dst p))
-    done
-  done;
-  { k; net; host_base; n_hosts; rack_delay; agg_delay; core_delay }
+  Fabric.create ~cut:(Fabric.One_net net) ~dcs:[ Fabric.Fat_tree_dc { k } ]
+    ~trunks:[] ~rate:Fabric.line_rate ~disc ()
 
-let k t = t.k
-let net t = t.net
-let n_hosts t = t.n_hosts
+let n_hosts = Fabric.n_hosts
 
 let host_id t i =
-  if i < 0 || i >= t.n_hosts then invalid_arg "Fat_tree.host_id";
-  t.host_base + i
+  if i < 0 || i >= n_hosts t then invalid_arg "Fat_tree.host_id";
+  Fabric.host_id t i
 
-let host_index t id =
-  let i = id - t.host_base in
-  if i < 0 || i >= t.n_hosts then invalid_arg "Fat_tree.host_index";
-  i
-
-let locality t ~src ~dst =
-  let pod_s, edge_s, _ = decompose ~k:t.k src
-  and pod_d, edge_d, _ = decompose ~k:t.k dst in
-  if pod_s <> pod_d then Inter_pod
-  else if edge_s <> edge_d then Inter_rack
-  else Inner_rack
-
-let n_paths t ~src ~dst =
-  let half = t.k / 2 in
-  match locality t ~src ~dst with
-  | Inner_rack -> 1
-  | Inter_rack -> half
-  | Inter_pod -> half * half
-  | Inter_dc -> assert false (* both endpoints live in this tree *)
+let host_index = Fabric.host_index
+let locality = Fabric.locality
+let n_paths = Fabric.n_paths
+let max_rtt_no_queue = Fabric.max_rtt_no_queue
 
 (* ---- link naming for fault schedules --------------------------------- *)
 
-let check_pod t pod = if pod < 0 || pod >= t.k then invalid_arg "Fat_tree: pod"
-
-let check_half t what i =
-  if i < 0 || i >= t.k / 2 then invalid_arg ("Fat_tree: " ^ what)
+let rack_link_ends t ~pod ~edge ~agg =
+  let k =
+    match Fabric.dc_spec t 0 with
+    | Fabric.Fat_tree_dc { k } -> k
+    | Fabric.Leaf_spine_dc _ -> invalid_arg "Fat_tree: not a fat tree"
+  in
+  if pod < 0 || pod >= k then invalid_arg "Fat_tree: pod";
+  if edge < 0 || edge >= k / 2 then invalid_arg "Fat_tree: edge";
+  if agg < 0 || agg >= k / 2 then invalid_arg "Fat_tree: agg";
+  (Printf.sprintf "e%d.%d" pod edge, Printf.sprintf "a%d.%d" pod agg)
 
 let rack_uplink_name t ~pod ~edge ~agg =
-  check_pod t pod;
-  check_half t "edge" edge;
-  check_half t "agg" agg;
-  Printf.sprintf "e%d.%d->a%d.%d" pod edge pod agg
+  let e, a = rack_link_ends t ~pod ~edge ~agg in
+  e ^ "->" ^ a
 
 let rack_downlink_name t ~pod ~edge ~agg =
-  check_pod t pod;
-  check_half t "edge" edge;
-  check_half t "agg" agg;
-  Printf.sprintf "a%d.%d->e%d.%d" pod agg pod edge
-
-let host_uplink_name t i =
-  let pod, edge, slot = decompose ~k:t.k (host_index t (host_id t i)) in
-  Printf.sprintf "h%d.%d.%d->e%d.%d" pod edge slot pod edge
-
-let find_link_exn t name =
-  match Network.find_link t.net ~name with
-  | Some l -> l
-  | None -> invalid_arg ("Fat_tree: no link named " ^ name)
+  let e, a = rack_link_ends t ~pod ~edge ~agg in
+  a ^ "->" ^ e
 
 let rack_uplink t ~pod ~edge ~agg =
-  find_link_exn t (rack_uplink_name t ~pod ~edge ~agg)
-
-let rack_downlink t ~pod ~edge ~agg =
-  find_link_exn t (rack_downlink_name t ~pod ~edge ~agg)
-
-let max_rtt_no_queue t =
-  (* host-edge-agg-core-agg-edge-host, both directions *)
-  let one_way =
-    Time.add
-      (Time.mul t.rack_delay 2)
-      (Time.add (Time.mul t.agg_delay 2) (Time.mul t.core_delay 2))
-  in
-  Time.mul one_way 2
+  let name = rack_uplink_name t ~pod ~edge ~agg in
+  match Network.find_link (Fabric.net t) ~name with
+  | Some l -> l
+  | None -> invalid_arg ("Fat_tree: no link named " ^ name)

@@ -1,48 +1,22 @@
-(** k-ary Fat-Tree topology (Al-Fares et al., SIGCOMM 2008) with the
-    deterministic per-destination-address routing the paper uses (§5.2.1:
-    Two-Level Routing Lookup; multiple addresses per host so that MPTCP
-    subflows take different paths).
+(** The single-network k-ary fat tree of the paper's evaluation (§5.2.1):
+    one {!Fabric} fat-tree DC on a caller-owned network. See {!Fabric}
+    for the geometry, path selectors, layer delays and link names. *)
 
-    For even [k]: [k] pods, each with [k/2] edge and [k/2] aggregation
-    switches; [(k/2)^2] core switches; [k^3/4] hosts. A packet's [path]
-    field plays the role of the destination address choice: inter-pod
-    traffic with selector [p] ascends via aggregation switch [p / (k/2)]
-    and core offset [p mod (k/2)]; intra-pod inter-rack traffic uses
-    aggregation switch [p mod (k/2)]. ACKs carry the same selector, so the
-    reverse path is the mirror of the forward path, as with symmetric
-    two-level lookup tables. *)
-
-type locality = Inner_rack | Inter_rack | Inter_pod | Inter_dc
-(** [Inter_dc] never arises within one tree; it is produced by the
-    {!Wan} bridge for host pairs on opposite sides of a border link. *)
-
-val pp_locality : Format.formatter -> locality -> unit
+type locality = Fabric.locality =
+  | Inner_rack
+  | Inter_rack
+  | Inter_pod
+  | Inter_dc
 
 val locality_name : locality -> string
 
-val decompose : k:int -> int -> int * int * int
-(** [decompose ~k i] splits host index [i] into [(pod, edge, slot)] —
-    [k/2] hosts per edge switch, [(k/2)²] per pod. *)
-
-type t
+type t = Fabric.t
 
 val create :
-  net:Network.t ->
-  k:int ->
-  ?rate:Units.rate ->
-  ?rack_delay:Xmp_engine.Time.t ->
-  ?agg_delay:Xmp_engine.Time.t ->
-  ?core_delay:Xmp_engine.Time.t ->
-  disc:(unit -> Queue_disc.t) ->
-  unit ->
-  t
-(** Defaults follow §5.2.1: 1 Gbps links everywhere; one-way delays 20 µs
-    (rack), 30 µs (aggregation), 40 µs (core). [k] must be even and ≥ 2.
-    Link layer tags are ["rack"], ["aggregation"], ["core"]. *)
-
-val k : t -> int
-
-val net : t -> Network.t
+  net:Network.t -> k:int -> disc:(unit -> Queue_disc.t) -> unit -> t
+(** 1 Gbps links everywhere; one-way delays 20 µs (rack), 30 µs
+    (aggregation), 40 µs (core). [k] must be even and ≥ 2. Link layer
+    tags are ["rack"], ["aggregation"], ["core"]. *)
 
 val n_hosts : t -> int
 
@@ -71,14 +45,9 @@ val rack_downlink_name : t -> pod:int -> edge:int -> agg:int -> string
 (** The reverse (aggregation-to-edge) direction; fail both names to cut
     the cable rather than one direction. *)
 
-val host_uplink_name : t -> int -> string
-(** ["h<pod>.<edge>.<slot>-><edge switch>"] for host index [i]. *)
-
 val rack_uplink : t -> pod:int -> edge:int -> agg:int -> Link.t
 (** The live link for {!rack_uplink_name}; raises [Invalid_argument] if
     absent. *)
-
-val rack_downlink : t -> pod:int -> edge:int -> agg:int -> Link.t
 
 val layers : string list
 (** [\["core"; "aggregation"; "rack"\]] — tags usable with

@@ -1,191 +1,12 @@
-module Time = Xmp_engine.Time
+type t = Fabric.t
 
-(* Same geometry, addressing and routing as {!Fat_tree}, but built over a
-   {!Shard} cluster with one shard per pod. Node ids are assigned
-   explicitly so a host's address means the same thing in every shard's
-   network; link construction follows Fat_tree's loop order exactly, so
-   the port-indexed routing functions carry over unchanged whether a
-   given hop is a local link or a portal. *)
-type t = {
-  k : int;
-  cluster : Shard.t;
-  n_hosts : int;
-  rack_delay : Time.t;
-  agg_delay : Time.t;
-  core_delay : Time.t;
-}
+let create ?(config = Xmp_engine.Sim.default_config) ~k
+    ?(rate = Fabric.line_rate) ~disc () =
+  Fabric.create ~cut:(Fabric.Per_pod config) ~dcs:[ Fabric.Fat_tree_dc { k } ]
+    ~trunks:[] ~rate ~disc ()
 
-let decompose = Fat_tree.decompose
-
-(* Explicit id layout: hosts first (host index = node id, so a packet's
-   dst decomposes directly), then edge, aggregation and core switches. *)
-let host_id_of ~k:_ i = i
-
-let edge_id ~k ~n_hosts pod e = n_hosts + (pod * (k / 2)) + e
-
-let agg_id ~k ~n_hosts pod a = n_hosts + (k * (k / 2)) + (pod * (k / 2)) + a
-
-let core_id ~k ~n_hosts g c = n_hosts + (2 * k * (k / 2)) + (g * (k / 2)) + c
-
-(* Core (g, c) lives in shard (g*half + c) mod k: the core layer spreads
-   round-robin across the pod shards so no shard serializes all
-   inter-pod contention. *)
-let core_shard ~k g c = ((g * (k / 2)) + c) mod k
-
-let create ?config ~k ?(rate = Units.gbps 1.) ?(rack_delay = Time.us 20)
-    ?(agg_delay = Time.us 30) ?(core_delay = Time.us 40) ~disc () =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Fat_tree_sharded.create: k";
-  let half = k / 2 in
-  let n_hosts = k * half * half in
-  let cluster = Shard.create ?config ~shards:k () in
-  let hosts =
-    Array.init n_hosts (fun i ->
-        let pod, edge, slot = decompose ~k i in
-        Network.add_host_at (Shard.net cluster pod) ~id:(host_id_of ~k i)
-          ~name:(Printf.sprintf "h%d.%d.%d" pod edge slot))
-  in
-  let edges =
-    Array.init k (fun pod ->
-        Array.init half (fun e ->
-            Network.add_switch_at (Shard.net cluster pod)
-              ~id:(edge_id ~k ~n_hosts pod e)
-              ~name:(Printf.sprintf "e%d.%d" pod e)))
-  in
-  let aggs =
-    Array.init k (fun pod ->
-        Array.init half (fun a ->
-            Network.add_switch_at (Shard.net cluster pod)
-              ~id:(agg_id ~k ~n_hosts pod a)
-              ~name:(Printf.sprintf "a%d.%d" pod a)))
-  in
-  let cores =
-    Array.init half (fun g ->
-        Array.init half (fun c ->
-            Network.add_switch_at
-              (Shard.net cluster (core_shard ~k g c))
-              ~id:(core_id ~k ~n_hosts g c)
-              ~name:(Printf.sprintf "c%d.%d" g c)))
-  in
-  (* Rack and aggregation layers are pod-local: ordinary links, in
-     Fat_tree's construction order so port numbers match its routing. *)
-  for pod = 0 to k - 1 do
-    let net = Shard.net cluster pod in
-    for e = 0 to half - 1 do
-      for slot = 0 to half - 1 do
-        let i = (pod * half * half) + (e * half) + slot in
-        ignore
-          (Network.connect net ~tag:"rack" ~rate ~delay:rack_delay ~disc
-             hosts.(i)
-             edges.(pod).(e))
-      done
-    done;
-    for e = 0 to half - 1 do
-      for a = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"aggregation" ~rate ~delay:agg_delay ~disc
-             edges.(pod).(e)
-             aggs.(pod).(a))
-      done
-    done
-  done;
-  (* Core layer: agg (pod, a) <-> core (a, c). A pair in the same shard
-     is a local link; otherwise one portal per direction. Either way the
-     agg's uplink to core c is its port [half + c] and core (g, c)'s
-     downlinks land in pod order, as in Fat_tree. *)
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      for c = 0 to half - 1 do
-        let cs = core_shard ~k a c in
-        let agg = aggs.(pod).(a) and core = cores.(a).(c) in
-        if cs = pod then
-          ignore
-            (Network.connect (Shard.net cluster pod) ~tag:"core" ~rate
-               ~delay:core_delay ~disc agg core)
-        else begin
-          ignore
-            (Shard.portal cluster ~tag:"core" ~src:(pod, agg) ~dst:(cs, core)
-               ~rate ~delay:core_delay ~disc ());
-          ignore
-            (Shard.portal cluster ~tag:"core" ~src:(cs, core) ~dst:(pod, agg)
-               ~rate ~delay:core_delay ~disc ())
-        end
-      done
-    done
-  done;
-  (* Routing: identical formulas to Fat_tree, on globally meaningful
-     host ids (host id = host index, so no base offset). *)
-  let pod_of id = id / (half * half) in
-  let edge_of id = id mod (half * half) / half in
-  let slot_of id = id mod half in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      Node.set_route
-        edges.(pod).(e)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod && edge_of dst = e then slot_of dst
-          else begin
-            let a =
-              if pod_of dst = pod then Packet.path p mod half
-              else Packet.path p / half mod half
-            in
-            half + a
-          end)
-    done;
-    for a = 0 to half - 1 do
-      Node.set_route
-        aggs.(pod).(a)
-        (fun p ->
-          let dst = Packet.dst p in
-          if pod_of dst = pod then edge_of dst
-          else half + (Packet.path p mod half))
-    done
-  done;
-  for g = 0 to half - 1 do
-    for c = 0 to half - 1 do
-      Node.set_route cores.(g).(c) (fun p -> pod_of (Packet.dst p))
-    done
-  done;
-  { k; cluster; n_hosts; rack_delay; agg_delay; core_delay }
-
-let k t = t.k
-let cluster t = t.cluster
-let n_hosts t = t.n_hosts
-
-let host_id t i =
-  if i < 0 || i >= t.n_hosts then invalid_arg "Fat_tree_sharded.host_id";
-  i
-
-let pod_of_host t i =
-  ignore (host_id t i);
-  let half = t.k / 2 in
-  i / (half * half)
-
-let host_net t i = Shard.net t.cluster (pod_of_host t i)
-
-let locality t ~src ~dst =
-  let pod_s, edge_s, _ = decompose ~k:t.k src
-  and pod_d, edge_d, _ = decompose ~k:t.k dst in
-  if pod_s <> pod_d then Fat_tree.Inter_pod
-  else if edge_s <> edge_d then Fat_tree.Inter_rack
-  else Fat_tree.Inner_rack
-
-let n_paths t ~src ~dst =
-  let half = t.k / 2 in
-  match locality t ~src ~dst with
-  | Fat_tree.Inner_rack -> 1
-  | Fat_tree.Inter_rack -> half
-  | Fat_tree.Inter_pod -> half * half
-  | Fat_tree.Inter_dc -> assert false (* both endpoints live in this tree *)
-
-let max_rtt_no_queue t =
-  let one_way =
-    Time.add
-      (Time.mul t.rack_delay 2)
-      (Time.add (Time.mul t.agg_delay 2) (Time.mul t.core_delay 2))
-  in
-  Time.mul one_way 2
-
-let run ?domains ?until ?on_epoch t =
-  Shard.run ?domains ?until ?on_epoch t.cluster
+let cluster = Fabric.cluster
+let n_hosts = Fabric.n_hosts
+let host_net = Fabric.host_net
+let n_paths = Fabric.n_paths
+let run = Fabric.run

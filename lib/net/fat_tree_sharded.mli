@@ -1,50 +1,33 @@
-(** {!Fat_tree} rebuilt over a {!Shard} cluster, one shard per pod.
+(** The {!Fat_tree} cut into one {!Shard} per pod: a {!Fabric} fat-tree
+    DC under the {!Fabric.Per_pod} cut.
 
-    Geometry, host addressing, path selectors and routing are identical
-    to {!Fat_tree}: host index [i] is also its node id in every shard's
-    network, and the port-indexed routing functions are the same
-    formulas. The rack and aggregation layers are pod-local links; each
-    agg↔core hop whose core switch lives in another shard becomes a pair
-    of {!Shard.portal}s with the core-layer propagation delay as the
-    lookahead (so the epoch length is [core_delay]). Core switch (g, c)
-    is placed in shard [(g·k/2 + c) mod k], spreading inter-pod
-    contention across the shards. *)
+    Geometry, host addressing, path selectors and routing are those of
+    {!Fat_tree}; host index [i] is also its node id in every shard's
+    network. Rack and aggregation links are pod-local; each agg↔core
+    hop whose core switch lives in another shard becomes a pair of
+    {!Shard.portal}s with the core-layer delay as the lookahead, so the
+    epoch length is 40 µs. *)
 
-type t
+type t = Fabric.t
 
 val create :
   ?config:Xmp_engine.Sim.config ->
   k:int ->
   ?rate:Units.rate ->
-  ?rack_delay:Xmp_engine.Time.t ->
-  ?agg_delay:Xmp_engine.Time.t ->
-  ?core_delay:Xmp_engine.Time.t ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
-
-val k : t -> int
+(** [rate] (default 1 Gbps) applies to every link. *)
 
 val cluster : t -> Shard.t
 
 val n_hosts : t -> int
 
-val host_id : t -> int -> int
-(** Identity on [0 .. n_hosts), with bounds checking — kept for symmetry
-    with {!Fat_tree.host_id}. *)
-
-val pod_of_host : t -> int -> int
-
 val host_net : t -> int -> Network.t
 (** The network of the shard holding host [i] — what a transport's [net]
     (sender side) or [rcv_net] (receiver side) should be. *)
 
-val locality : t -> src:int -> dst:int -> Fat_tree.locality
-
 val n_paths : t -> src:int -> dst:int -> int
-
-val max_rtt_no_queue : t -> Xmp_engine.Time.t
-(** Zero-load inter-pod round trip, as {!Fat_tree.max_rtt_no_queue}. *)
 
 val run :
   ?domains:int ->

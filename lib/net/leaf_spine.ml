@@ -1,90 +1,14 @@
-module Time = Xmp_engine.Time
+type t = Fabric.t
 
-type t = {
-  leaves : int;
-  spines : int;
-  hosts_per_leaf : int;
-  host_base : int;
-}
-
-let layers = [ "spine"; "leaf" ]
-
-let create ~net ~leaves ~spines ~hosts_per_leaf
-    ?(host_rate = Units.gbps 1.) ?(spine_rate = Units.gbps 10.)
-    ?(host_delay = Time.us 20) ?(spine_delay = Time.us 30) ~disc () =
+let create ~net ~leaves ~spines ~hosts_per_leaf ~disc () =
   if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
     invalid_arg "Leaf_spine.create";
-  let n_hosts = leaves * hosts_per_leaf in
-  let hosts =
-    Array.init n_hosts (fun i ->
-        Network.add_host net
-          ~name:(Printf.sprintf "h%d.%d" (i / hosts_per_leaf) (i mod hosts_per_leaf)))
-  in
-  let leaf_sw =
-    Array.init leaves (fun l ->
-        Network.add_switch net ~name:(Printf.sprintf "leaf%d" l))
-  in
-  let spine_sw =
-    Array.init spines (fun s ->
-        Network.add_switch net ~name:(Printf.sprintf "spine%d" s))
-  in
-  let host_base = Node.id hosts.(0) in
-  (* host [slot] <-> its leaf: leaf port [slot] points at the host *)
-  for l = 0 to leaves - 1 do
-    for slot = 0 to hosts_per_leaf - 1 do
-      ignore
-        (Network.connect net ~tag:"leaf" ~rate:host_rate ~delay:host_delay
-           ~disc
-           hosts.((l * hosts_per_leaf) + slot)
-           leaf_sw.(l))
-    done
-  done;
-  (* leaf <-> spine: leaf port [hosts_per_leaf + s]; spine port [l] *)
-  for l = 0 to leaves - 1 do
-    for s = 0 to spines - 1 do
-      ignore
-        (Network.connect net ~tag:"spine" ~rate:spine_rate
-           ~delay:spine_delay ~disc
-           leaf_sw.(l)
-           spine_sw.(s))
-    done
-  done;
-  let leaf_of id = (id - host_base) / hosts_per_leaf in
-  let slot_of id = (id - host_base) mod hosts_per_leaf in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  Array.iteri
-    (fun l sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if leaf_of dst = l then slot_of dst
-          else hosts_per_leaf + (Packet.path p mod spines)))
-    leaf_sw;
-  Array.iter
-    (fun sw -> Node.set_route sw (fun p -> leaf_of (Packet.dst p)))
-    spine_sw;
-  { leaves; spines; hosts_per_leaf; host_base }
+  Fabric.create ~cut:(Fabric.One_net net)
+    ~dcs:[ Fabric.Leaf_spine_dc { leaves; spines; hosts_per_leaf } ]
+    ~trunks:[] ~rate:Fabric.line_rate ~disc ()
 
-let n_hosts t = t.leaves * t.hosts_per_leaf
-
-let host_id t i =
-  if i < 0 || i >= n_hosts t then invalid_arg "Leaf_spine.host_id";
-  t.host_base + i
-
-let host_index t id =
-  let i = id - t.host_base in
-  if i < 0 || i >= n_hosts t then invalid_arg "Leaf_spine.host_index";
-  i
-
-let uplink_name t ~leaf ~spine =
-  if leaf < 0 || leaf >= t.leaves then invalid_arg "Leaf_spine: leaf";
-  if spine < 0 || spine >= t.spines then invalid_arg "Leaf_spine: spine";
-  Printf.sprintf "leaf%d->spine%d" leaf spine
-
-let downlink_name t ~leaf ~spine =
-  if leaf < 0 || leaf >= t.leaves then invalid_arg "Leaf_spine: leaf";
-  if spine < 0 || spine >= t.spines then invalid_arg "Leaf_spine: spine";
-  Printf.sprintf "spine%d->leaf%d" spine leaf
-
-let same_leaf t ~src ~dst = src / t.hosts_per_leaf = dst / t.hosts_per_leaf
-
-let n_paths t ~src ~dst = if same_leaf t ~src ~dst then 1 else t.spines
+let n_hosts = Fabric.n_hosts
+let host_id = Fabric.host_id
+let host_index = Fabric.host_index
+let same_leaf t ~src ~dst = Fabric.locality t ~src ~dst = Fabric.Inner_rack
+let n_paths = Fabric.n_paths

@@ -1,31 +1,14 @@
 module Time = Xmp_engine.Time
 
-(* Two data centers joined by high-BDP border trunks. Each DC is a
-   complete fat tree or leaf-spine built with the same loop orders (and
-   therefore the same port-indexed routing) as {!Fat_tree} /
-   {!Leaf_spine}, plus one border router per trunk hanging off the
-   exit layer (cores, or spines). Host ids are globally unique — DC 0's
-   hosts first, then DC 1's, switches after all hosts — so a border
-   router classifies a packet as local or remote with one range check.
-
-   The sharded backend puts each DC on its own {!Shard} and each trunk
-   direction on a portal: the trunk delay (10–100 ms) is the epoch
-   lookahead, dwarfing the intra-DC event horizon, so domains:1 and
-   domains:N runs stay byte-identical at near-zero barrier cost. The
-   flat backend lays the identical geometry on one {!Network} for
-   single-sim closed-loop drivers. *)
-
-type dc_spec =
+type dc_spec = Fabric.dc_spec =
   | Fat_tree_dc of { k : int }
   | Leaf_spine_dc of { leaves : int; spines : int; hosts_per_leaf : int }
 
-type trunk = {
+type trunk = Fabric.trunk = {
   trunk_rate : Units.rate;
   trunk_delay : Time.t;
   trunk_queue_pkts : int;
   trunk_marking_threshold : int option;
-      (* None = droptail (deep-buffer WAN router); Some k = shallow
-         ECN-marking border queue, the regime where Eq. 1 sizes K *)
 }
 
 let trunk ?(rate = Units.gbps 10.) ?(delay = Time.ms 40)
@@ -43,515 +26,36 @@ let trunk ?(rate = Units.gbps 10.) ?(delay = Time.ms 40)
     trunk_marking_threshold = marking_threshold;
   }
 
-(* Default intra-DC layer delays, matching Fat_tree's and Leaf_spine's
-   optional-argument defaults (zero_load_rtt below depends on them). *)
-let rack_delay = Time.us 20
-let agg_delay = Time.us 30
-let core_delay = Time.us 40
-let spine_delay = Time.us 30
+type t = Fabric.t
 
 let layers =
   [ "wan"; "border"; "core"; "aggregation"; "rack"; "leaf"; "spine" ]
 
-let dc_n_hosts = function
-  | Fat_tree_dc { k } -> k * (k / 2) * (k / 2)
-  | Leaf_spine_dc { leaves; hosts_per_leaf; _ } -> leaves * hosts_per_leaf
+let create_with cut ~left ~right ~trunks ~disc =
+  Fabric.create ~cut ~dcs:[ left; right ] ~trunks ~rate:Fabric.line_rate ~disc
+    ()
 
-(* Selector stratum consumed by the ascent to the exit layer: the trunk
-   index is read from [path / up_div], so intra-DC path diversity and
-   trunk choice are independent coordinates of one selector. *)
-let dc_up_div = function
-  | Fat_tree_dc { k } -> k / 2 * (k / 2)
-  | Leaf_spine_dc { spines; _ } -> spines
+let create ?(config = Xmp_engine.Sim.default_config) ~left ~right ~trunks
+    ~disc () =
+  create_with (Fabric.Per_dc config) ~left ~right ~trunks ~disc
 
-type dc = {
-  spec : dc_spec;
-  host_base : int;
-  borders : Node.t array;
-}
+let create_flat ~net ~left ~right ~trunks ~disc () =
+  create_with (Fabric.One_net net) ~left ~right ~trunks ~disc
 
-type backend = Sharded of Shard.t | Flat of Network.t
+let n_hosts = Fabric.n_hosts
+let dc_n_hosts = Fabric.dc_n_hosts
+let n_trunks = Fabric.n_trunks
+let dc_of_host = Fabric.dc_of_host
+let cluster = Fabric.cluster
+let host_net = Fabric.host_net
+let run = Fabric.run
+let locality = Fabric.locality
+let n_paths = Fabric.n_paths
+let zero_load_rtt = Fabric.zero_load_rtt
+let max_rtt_no_queue = Fabric.max_rtt_no_queue
 
-type t = {
-  backend : backend;
-  dcs : dc array;  (* length 2 *)
-  trunks : trunk array;
-  n_hosts : int;
-  min_trunk_delay : Time.t;
-}
-
-let validate_spec = function
-  | Fat_tree_dc { k } ->
-    if k < 2 || k mod 2 <> 0 then invalid_arg "Wan: fat-tree k"
-  | Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
-    if leaves < 1 || spines < 1 || hosts_per_leaf < 1 then
-      invalid_arg "Wan: leaf-spine shape"
-
-(* ---- per-DC construction --------------------------------------------
-
-   [net] is the network this DC's nodes live in (its shard's, or the
-   shared flat one). Returns the exit-layer switches in selector order;
-   border wiring and routing for them is installed here, so the caller
-   only wires border <-> border trunks. *)
-
-let is_local ~host_base ~n dst = dst >= host_base && dst < host_base + n
-
-let build_fat_tree ~net ~k ~host_base ~switch_base ~prefix ~rate ~disc
-    ~n_trunks =
-  let half = k / 2 in
-  let n = k * half * half in
-  let hosts =
-    Array.init n (fun i ->
-        let pod, edge, slot = Fat_tree.decompose ~k i in
-        Network.add_host_at net ~id:(host_base + i)
-          ~name:(Printf.sprintf "%s.h%d.%d.%d" prefix pod edge slot))
-  in
-  let edges =
-    Array.init k (fun pod ->
-        Array.init half (fun e ->
-            Network.add_switch_at net
-              ~id:(switch_base + (pod * half) + e)
-              ~name:(Printf.sprintf "%s.e%d.%d" prefix pod e)))
-  in
-  let aggs =
-    Array.init k (fun pod ->
-        Array.init half (fun a ->
-            Network.add_switch_at net
-              ~id:(switch_base + (k * half) + (pod * half) + a)
-              ~name:(Printf.sprintf "%s.a%d.%d" prefix pod a)))
-  in
-  let cores =
-    Array.init half (fun g ->
-        Array.init half (fun c ->
-            Network.add_switch_at net
-              ~id:(switch_base + (2 * k * half) + (g * half) + c)
-              ~name:(Printf.sprintf "%s.c%d.%d" prefix g c)))
-  in
-  (* Fat_tree's wiring order, so its port-indexed routing carries over. *)
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      for slot = 0 to half - 1 do
-        let i = (pod * half * half) + (e * half) + slot in
-        ignore
-          (Network.connect net ~tag:"rack" ~rate ~delay:rack_delay ~disc
-             hosts.(i)
-             edges.(pod).(e))
-      done
-    done;
-    for e = 0 to half - 1 do
-      for a = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"aggregation" ~rate ~delay:agg_delay
-             ~disc
-             edges.(pod).(e)
-             aggs.(pod).(a))
-      done
-    done
-  done;
-  for pod = 0 to k - 1 do
-    for a = 0 to half - 1 do
-      for c = 0 to half - 1 do
-        ignore
-          (Network.connect net ~tag:"core" ~rate ~delay:core_delay ~disc
-             aggs.(pod).(a)
-             cores.(a).(c))
-      done
-    done
-  done;
-  let local = is_local ~host_base ~n in
-  let pod_of id = (id - host_base) / (half * half) in
-  let edge_of id = (id - host_base) mod (half * half) / half in
-  let slot_of id = (id - host_base) mod half in
-  let up_div = half * half in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  for pod = 0 to k - 1 do
-    for e = 0 to half - 1 do
-      Node.set_route
-        edges.(pod).(e)
-        (fun p ->
-          let dst = Packet.dst p in
-          if local dst && pod_of dst = pod && edge_of dst = e then
-            slot_of dst
-          else begin
-            (* remote destinations ascend like inter-pod traffic *)
-            let a =
-              if local dst && pod_of dst = pod then Packet.path p mod half
-              else Packet.path p / half mod half
-            in
-            half + a
-          end)
-    done;
-    for a = 0 to half - 1 do
-      Node.set_route
-        aggs.(pod).(a)
-        (fun p ->
-          let dst = Packet.dst p in
-          if local dst && pod_of dst = pod then edge_of dst
-          else half + (Packet.path p mod half))
-    done
-  done;
-  (* Core port map: pods 0..k-1 (wired above), then border j at k + j
-     (wired by the caller in j order). Remote traffic picks its trunk
-     from the selector stratum above the intra-DC diversity. *)
-  for g = 0 to half - 1 do
-    for c = 0 to half - 1 do
-      Node.set_route cores.(g).(c) (fun p ->
-          let dst = Packet.dst p in
-          if local dst then pod_of dst
-          else k + (Packet.path p / up_div mod n_trunks))
-    done
-  done;
-  Array.init (half * half) (fun i -> cores.(i / half).(i mod half))
-
-let build_leaf_spine ~net ~leaves ~spines ~hosts_per_leaf ~host_base
-    ~switch_base ~prefix ~rate ~disc ~n_trunks =
-  let n = leaves * hosts_per_leaf in
-  let hosts =
-    Array.init n (fun i ->
-        Network.add_host_at net ~id:(host_base + i)
-          ~name:
-            (Printf.sprintf "%s.h%d.%d" prefix (i / hosts_per_leaf)
-               (i mod hosts_per_leaf)))
-  in
-  let leaf_sw =
-    Array.init leaves (fun l ->
-        Network.add_switch_at net ~id:(switch_base + l)
-          ~name:(Printf.sprintf "%s.leaf%d" prefix l))
-  in
-  let spine_sw =
-    Array.init spines (fun s ->
-        Network.add_switch_at net ~id:(switch_base + leaves + s)
-          ~name:(Printf.sprintf "%s.spine%d" prefix s))
-  in
-  for l = 0 to leaves - 1 do
-    for slot = 0 to hosts_per_leaf - 1 do
-      ignore
-        (Network.connect net ~tag:"leaf" ~rate ~delay:rack_delay ~disc
-           hosts.((l * hosts_per_leaf) + slot)
-           leaf_sw.(l))
-    done
-  done;
-  for l = 0 to leaves - 1 do
-    for s = 0 to spines - 1 do
-      ignore
-        (Network.connect net ~tag:"spine" ~rate ~delay:spine_delay ~disc
-           leaf_sw.(l)
-           spine_sw.(s))
-    done
-  done;
-  let local = is_local ~host_base ~n in
-  let leaf_of id = (id - host_base) / hosts_per_leaf in
-  let slot_of id = (id - host_base) mod hosts_per_leaf in
-  Array.iter (fun h -> Node.set_route h (fun _ -> 0)) hosts;
-  Array.iteri
-    (fun l sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst && leaf_of dst = l then slot_of dst
-          else hosts_per_leaf + (Packet.path p mod spines)))
-    leaf_sw;
-  (* Spine port map: leaves 0..leaves-1, then border j at leaves + j. *)
-  Array.iter
-    (fun sw ->
-      Node.set_route sw (fun p ->
-          let dst = Packet.dst p in
-          if local dst then leaf_of dst
-          else leaves + (Packet.path p / spines mod n_trunks)))
-    spine_sw;
-  spine_sw
-
-let dc_n_switches = function
-  | Fat_tree_dc { k } -> (2 * k * (k / 2)) + (k / 2 * (k / 2))
-  | Leaf_spine_dc { leaves; spines; _ } -> leaves + spines
-
-let build_dc ~net ~spec ~host_base ~switch_base ~prefix ~rate ~disc
-    ~n_trunks =
-  let exits =
-    match spec with
-    | Fat_tree_dc { k } ->
-      build_fat_tree ~net ~k ~host_base ~switch_base ~prefix ~rate ~disc
-        ~n_trunks
-    | Leaf_spine_dc { leaves; spines; hosts_per_leaf } ->
-      build_leaf_spine ~net ~leaves ~spines ~hosts_per_leaf ~host_base
-        ~switch_base ~prefix ~rate ~disc ~n_trunks
-  in
-  (exits, dc_n_switches spec)
-
-(* Border router j: ports 0..n_exits-1 down to the exit switches (in
-   selector order), port n_exits out to the WAN trunk. *)
-let border_route ~host_base ~n ~n_exits =
-  let local = is_local ~host_base ~n in
-  fun p ->
-    let dst = Packet.dst p in
-    if local dst then Packet.path p mod n_exits else n_exits
-
-let trunk_disc tr () =
-  let policy =
-    match tr.trunk_marking_threshold with
-    | Some k -> Queue_disc.Threshold_mark k
-    | None -> Queue_disc.Droptail
-  in
-  Queue_disc.create ~policy ~capacity_pkts:tr.trunk_queue_pkts
-
-let trunk_link_name t ~from_dc ~trunk =
-  if from_dc < 0 || from_dc > 1 then invalid_arg "Wan.trunk_link_name: dc";
-  if trunk < 0 || trunk >= Array.length t.trunks then
-    invalid_arg "Wan.trunk_link_name: trunk";
-  Printf.sprintf "d%d.bdr%d->d%d.bdr%d" from_dc trunk (1 - from_dc) trunk
-
-(* ---- assembly -------------------------------------------------------- *)
-
-(* One-way propagation of a DC's ascent (host to exit layer) and of the
-   exit-to-border attach hop; both also feed zero_load_rtt below. *)
-let dc_ascent = function
-  | Fat_tree_dc _ -> Time.add rack_delay (Time.add agg_delay core_delay)
-  | Leaf_spine_dc _ -> Time.add rack_delay spine_delay
-
-let dc_attach = function
-  | Fat_tree_dc _ -> core_delay
-  | Leaf_spine_dc _ -> spine_delay
-
-let build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc =
-  validate_spec left;
-  validate_spec right;
-  if trunks = [] then invalid_arg "Wan: at least one trunk required";
-  let trunks = Array.of_list trunks in
-  let n_trunks = Array.length trunks in
-  let specs = [| left; right |] in
-  let n0 = dc_n_hosts left in
-  let n_hosts = n0 + dc_n_hosts right in
-  let switch_cursor = ref n_hosts in
-  let built =
-    Array.mapi
-      (fun d spec ->
-        let host_base = if d = 0 then 0 else n0 in
-        let exits, n_switches =
-          build_dc ~net:(net_of d) ~spec ~host_base
-            ~switch_base:!switch_cursor
-            ~prefix:(Printf.sprintf "d%d" d)
-            ~rate ~disc ~n_trunks
-        in
-        switch_cursor := !switch_cursor + n_switches;
-        (spec, host_base, exits))
-      specs
-  in
-  let dcs =
-    Array.mapi
-      (fun d (spec, host_base, exits) ->
-        let borders =
-          Array.init n_trunks (fun j ->
-              let b =
-                Network.add_switch_at (net_of d) ~id:!switch_cursor
-                  ~name:(Printf.sprintf "d%d.bdr%d" d j)
-              in
-              incr switch_cursor;
-              b)
-        in
-        (* j outer, exits inner: exit switch port for border j is
-           (standard ports) + j, matching the exit-layer routing. *)
-        Array.iteri
-          (fun j b ->
-            Array.iter
-              (fun exit ->
-                ignore
-                  (Network.connect (net_of d) ~tag:"border"
-                     ~rate:trunks.(j).trunk_rate ~delay:(dc_attach spec)
-                     ~disc exit b))
-              exits)
-          borders;
-        let n = dc_n_hosts spec in
-        Array.iter
-          (fun b ->
-            Node.set_route b
-              (border_route ~host_base ~n ~n_exits:(Array.length exits)))
-          borders;
-        { spec; host_base; borders })
-      built
-  in
-  (* WAN trunks last: border j's trunk port is its port n_exits. *)
-  Array.iteri
-    (fun j tr ->
-      connect_trunk ~trunk:j
-        ~a:(0, dcs.(0).borders.(j))
-        ~b:(1, dcs.(1).borders.(j))
-        ~rate:tr.trunk_rate ~delay:tr.trunk_delay ~disc:(trunk_disc tr))
-    trunks;
-  let min_trunk_delay =
-    Array.fold_left
-      (fun acc tr -> Time.min acc tr.trunk_delay)
-      Time.infinity trunks
-  in
-  (dcs, trunks, n_hosts, min_trunk_delay)
-
-let create ?config ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
-  let cluster = Shard.create ?config ~shards:2 () in
-  let net_of d = Shard.net cluster d in
-  let connect_trunk ~trunk:_ ~a:(sa, na) ~b:(sb, nb) ~rate ~delay ~disc =
-    ignore
-      (Shard.portal cluster ~tag:"wan" ~src:(sa, na) ~dst:(sb, nb) ~rate
-         ~delay ~disc ());
-    ignore
-      (Shard.portal cluster ~tag:"wan" ~src:(sb, nb) ~dst:(sa, na) ~rate
-         ~delay ~disc ())
-  in
-  let dcs, trunks, n_hosts, min_trunk_delay =
-    build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc
-  in
-  { backend = Sharded cluster; dcs; trunks; n_hosts; min_trunk_delay }
-
-let create_flat ~net ~left ~right ~trunks ?(rate = Units.gbps 1.) ~disc () =
-  let net_of _ = net in
-  let connect_trunk ~trunk:_ ~a:(_, na) ~b:(_, nb) ~rate ~delay ~disc =
-    ignore (Network.connect net ~tag:"wan" ~rate ~delay ~disc na nb)
-  in
-  let dcs, trunks, n_hosts, min_trunk_delay =
-    build ~net_of ~connect_trunk ~left ~right ~trunks ~rate ~disc
-  in
-  { backend = Flat net; dcs; trunks; n_hosts; min_trunk_delay }
-
-(* ---- accessors ------------------------------------------------------- *)
-
-let n_hosts t = t.n_hosts
-
-let n_trunks t = Array.length t.trunks
-
-let host_id t i =
-  if i < 0 || i >= t.n_hosts then invalid_arg "Wan.host_id";
-  i
-
-let dc_of_host t i =
-  ignore (host_id t i);
-  if i < t.dcs.(1).host_base then 0 else 1
-
-let dc_spec t d =
-  if d < 0 || d > 1 then invalid_arg "Wan.dc_spec";
-  t.dcs.(d).spec
-
-let cluster t =
-  match t.backend with
-  | Sharded c -> c
-  | Flat _ -> invalid_arg "Wan.cluster: flat build has no shard cluster"
-
-let net t =
-  match t.backend with
-  | Flat n -> n
-  | Sharded _ -> invalid_arg "Wan.net: sharded build has one net per DC"
-
-let host_net t i =
-  match t.backend with
-  | Flat n ->
-    ignore (host_id t i);
-    n
-  | Sharded c -> Shard.net c (dc_of_host t i)
-
-let run ?domains ?until ?on_epoch t =
-  match t.backend with
-  | Sharded c -> Shard.run ?domains ?until ?on_epoch c
-  | Flat _ -> invalid_arg "Wan.run: drive the flat build's own simulator"
-
-let dc_locality spec local_src local_dst =
-  match spec with
-  | Fat_tree_dc { k } ->
-    let pod_s, edge_s, _ = Fat_tree.decompose ~k local_src
-    and pod_d, edge_d, _ = Fat_tree.decompose ~k local_dst in
-    if pod_s <> pod_d then Fat_tree.Inter_pod
-    else if edge_s <> edge_d then Fat_tree.Inter_rack
-    else Fat_tree.Inner_rack
-  | Leaf_spine_dc { hosts_per_leaf; _ } ->
-    if local_src / hosts_per_leaf = local_dst / hosts_per_leaf then
-      Fat_tree.Inner_rack
-    else Fat_tree.Inter_rack
-
-let locality t ~src ~dst =
-  let ds = dc_of_host t src and dd = dc_of_host t dst in
-  if ds <> dd then Fat_tree.Inter_dc
-  else
-    let base = t.dcs.(ds).host_base in
-    dc_locality t.dcs.(ds).spec (src - base) (dst - base)
-
-let dc_intra_paths spec loc =
-  match (spec, loc) with
-  | _, Fat_tree.Inner_rack -> 1
-  | Fat_tree_dc { k }, Fat_tree.Inter_rack -> k / 2
-  | Fat_tree_dc { k }, Fat_tree.Inter_pod -> k / 2 * (k / 2)
-  | Leaf_spine_dc { spines; _ }, (Fat_tree.Inter_rack | Fat_tree.Inter_pod)
-    -> spines
-  | _, Fat_tree.Inter_dc -> assert false
-
-let n_paths t ~src ~dst =
-  match locality t ~src ~dst with
-  | Fat_tree.Inter_dc ->
-    (* intra-DC diversity times trunk choice: the selector's low stratum
-       spreads over the source tree's exit layer, the next one picks the
-       trunk (the destination DC reuses the low stratum for descent) *)
-    dc_up_div (t.dcs.(dc_of_host t src)).spec * Array.length t.trunks
-  | loc -> dc_intra_paths (t.dcs.(dc_of_host t src)).spec loc
-
-(* Zero-load round trips, from the fixed layer delays above. *)
-let dc_zero_load_one_way spec loc =
-  match (spec, loc) with
-  | _, Fat_tree.Inner_rack -> Time.mul rack_delay 2
-  | Fat_tree_dc _, Fat_tree.Inter_rack ->
-    Time.add (Time.mul rack_delay 2) (Time.mul agg_delay 2)
-  | Fat_tree_dc _, Fat_tree.Inter_pod ->
-    Time.add
-      (Time.mul rack_delay 2)
-      (Time.add (Time.mul agg_delay 2) (Time.mul core_delay 2))
-  | Leaf_spine_dc _, (Fat_tree.Inter_rack | Fat_tree.Inter_pod) ->
-    Time.add (Time.mul rack_delay 2) (Time.mul spine_delay 2)
-  | _, Fat_tree.Inter_dc -> assert false
-
-let zero_load_rtt t ~src ~dst =
-  let ds = dc_of_host t src and dd = dc_of_host t dst in
-  let one_way =
-    if ds = dd then
-      dc_zero_load_one_way t.dcs.(ds).spec (locality t ~src ~dst)
-    else
-      let s = t.dcs.(ds).spec and d = t.dcs.(dd).spec in
-      Time.add
-        (Time.add (dc_ascent s) (dc_attach s))
-        (Time.add t.min_trunk_delay
-           (Time.add (dc_attach d) (dc_ascent d)))
-  in
-  Time.mul one_way 2
-
-(* Static form of [max_rtt_no_queue]: lets callers size RTO floors and
-   horizons from the specs alone, before any network exists. *)
 let max_rtt_no_queue_of ~left ~right ~trunks =
-  validate_spec left;
-  validate_spec right;
+  Fabric.check_spec ~who:"Wan" left;
+  Fabric.check_spec ~who:"Wan" right;
   if trunks = [] then invalid_arg "Wan.max_rtt_no_queue_of: no trunks";
-  let max_trunk =
-    List.fold_left
-      (fun acc tr -> Time.max acc tr.trunk_delay)
-      Time.zero trunks
-  in
-  let one_way =
-    Time.add
-      (Time.add (dc_ascent left) (dc_attach left))
-      (Time.add max_trunk (Time.add (dc_attach right) (dc_ascent right)))
-  in
-  Time.mul one_way 2
-
-let max_rtt_no_queue t =
-  let cross01 =
-    zero_load_rtt t ~src:0 ~dst:(t.dcs.(1).host_base)
-  in
-  (* trunks may be slower than the minimum used by zero_load_rtt *)
-  let max_trunk =
-    Array.fold_left
-      (fun acc tr -> Time.max acc tr.trunk_delay)
-      Time.zero t.trunks
-  in
-  Time.add cross01
-    (Time.mul (Time.sub max_trunk t.min_trunk_delay) 2)
-
-let min_trunk_delay t = t.min_trunk_delay
-
-let events_executed t =
-  match t.backend with
-  | Sharded c -> Shard.events_executed c
-  | Flat n -> Xmp_engine.Sim.events_executed (Network.sim n)
-
-let mail_injected t =
-  match t.backend with Sharded c -> Shard.mail_injected c | Flat _ -> 0
+  Fabric.max_rtt_of ~dcs:[ left; right ] ~trunks

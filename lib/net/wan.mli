@@ -1,21 +1,14 @@
 (** Inter-DC WAN bridge: two data centers (fat tree or leaf-spine)
-    joined by configurable high-BDP border trunks.
+    joined by configurable high-BDP border trunks — a two-DC {!Fabric}.
 
     Each trunk gets a border router per DC hanging off the exit layer
     (every core switch, or every spine), so cross-DC traffic keeps the
     full intra-DC path diversity up to the border and the trunk choice
-    is a separate selector stratum: a cross-DC packet's [path] decomposes
-    as [path mod up_div] (intra-DC ascent, [up_div] = (k/2)² for a fat
-    tree, [spines] for a leaf-spine) and [path / up_div mod n_trunks]
-    (trunk). ACKs reuse the selector, so the reverse path mirrors the
-    forward one through its own DC's geometry.
+    is a separate selector stratum (see {!Fabric}). Host ids are
+    globally unique across both DCs (DC 0's hosts first, switches after
+    all hosts).
 
-    Host ids are globally unique across both DCs (DC 0's hosts first,
-    switches after all hosts), so locality and routing classify a
-    destination with one range check, and {!Fat_tree.Inter_dc} extends
-    the locality classes.
-
-    Two backends share the geometry byte-for-byte:
+    Two cuts share the geometry byte-for-byte:
     - {!create} — one {!Shard} per DC with each trunk direction on a
       portal. The trunk delay (10–100 ms) is the epoch lookahead, so
       [domains:1 ≡ domains:N] byte equality holds as for the sharded
@@ -23,11 +16,11 @@
     - {!create_flat} — the same nodes, links and routing on a single
       {!Network} for closed-loop single-simulator drivers. *)
 
-type dc_spec =
+type dc_spec = Fabric.dc_spec =
   | Fat_tree_dc of { k : int }
   | Leaf_spine_dc of { leaves : int; spines : int; hosts_per_leaf : int }
 
-type trunk = {
+type trunk = Fabric.trunk = {
   trunk_rate : Units.rate;
   trunk_delay : Xmp_engine.Time.t;
   trunk_queue_pkts : int;
@@ -48,35 +41,31 @@ val trunk :
 (** Defaults: 10 Gbps, 40 ms one-way, 2000-packet droptail (no
     marking). [delay] must be positive — it is the shard lookahead. *)
 
-type t
+type t = Fabric.t
 
 val create :
   ?config:Xmp_engine.Sim.config ->
   left:dc_spec ->
   right:dc_spec ->
   trunks:trunk list ->
-  ?rate:Units.rate ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
 (** Sharded build: shard 0 carries [left], shard 1 carries [right],
-    each trunk is a portal pair. [rate] (default 1 Gbps) and [disc]
-    configure the intra-DC links; layer delays are the {!Fat_tree} /
-    {!Leaf_spine} defaults (rack 20 µs, aggregation 30 µs, core 40 µs,
-    spine 30 µs; border attach links use the exit-layer delay and the
-    trunk's rate). At least one trunk is required. *)
+    each trunk is a portal pair. Intra-DC links run at 1 Gbps with
+    [disc] queues and {!Fabric}'s layer delays. At least one trunk is
+    required. *)
 
 val create_flat :
   net:Network.t ->
   left:dc_spec ->
   right:dc_spec ->
   trunks:trunk list ->
-  ?rate:Units.rate ->
   disc:(unit -> Queue_disc.t) ->
   unit ->
   t
-(** The identical geometry on one pre-existing network, for single-sim
-    drivers. {!run} and {!cluster} reject a flat build; drive
+(** The identical geometry at 1 Gbps on one pre-existing network, for
+    single-sim drivers. {!run} and {!cluster} reject a flat build; drive
     [Sim.run (Network.sim net)] directly. *)
 
 val layers : string list
@@ -91,19 +80,11 @@ val dc_n_hosts : dc_spec -> int
 
 val n_trunks : t -> int
 
-val host_id : t -> int -> int
-(** Identity on [0 .. n_hosts), with bounds checking. *)
-
 val dc_of_host : t -> int -> int
 (** 0 or 1. *)
 
-val dc_spec : t -> int -> dc_spec
-
 val cluster : t -> Shard.t
 (** The shard cluster of a sharded build; raises on a flat build. *)
-
-val net : t -> Network.t
-(** The single network of a flat build; raises on a sharded build. *)
 
 val host_net : t -> int -> Network.t
 (** The network a host's endpoints register on (per-DC shard net, or
@@ -117,14 +98,12 @@ val run :
   unit
 (** {!Shard.run} on the cluster; raises on a flat build. *)
 
-val locality : t -> src:int -> dst:int -> Fat_tree.locality
-(** {!Fat_tree.Inter_dc} across the cut; the host DC's own class
-    otherwise (a leaf-spine pair is [Inner_rack] on one leaf,
-    [Inter_rack] across leaves). *)
+val locality : t -> src:int -> dst:int -> Fabric.locality
+(** [Inter_dc] across the cut; the host DC's own class otherwise. *)
 
 val n_paths : t -> src:int -> dst:int -> int
-(** Distinct path selectors: the DC-local count within one DC;
-    [up_div(src DC) × n_trunks] across the cut. *)
+(** Distinct path selectors: the DC-local count within one DC; the
+    source DC's exit count × [n_trunks] across the cut. *)
 
 val zero_load_rtt : t -> src:int -> dst:int -> Xmp_engine.Time.t
 (** Propagation-only round trip between two hosts — the ideal-FCT
@@ -141,15 +120,3 @@ val max_rtt_no_queue_of :
   Xmp_engine.Time.t
 (** {!max_rtt_no_queue} computed from the specs alone, so drivers can
     size RTO floors and horizons before building anything. *)
-
-val min_trunk_delay : t -> Xmp_engine.Time.t
-
-val trunk_link_name : t -> from_dc:int -> trunk:int -> string
-(** The directed trunk link's ["d0.bdr0->d1.bdr0"]-style name, for
-    {!Xmp_engine.Fault_spec.Link} targeting. All trunk links also carry
-    the ["wan"] tag. *)
-
-val events_executed : t -> int
-
-val mail_injected : t -> int
-(** Portal packets carried across epoch barriers (0 for a flat build). *)

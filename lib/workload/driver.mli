@@ -19,11 +19,11 @@
 type topology =
   | Single_dc  (** one [k]-ary fat tree (the historical driver) *)
   | Bridged of {
-      left : Xmp_net.Wan.dc_spec;
-      right : Xmp_net.Wan.dc_spec;
-      trunks : Xmp_net.Wan.trunk list;
+      left : Xmp_net.Fabric.dc_spec;
+      right : Xmp_net.Fabric.dc_spec;
+      trunks : Xmp_net.Fabric.trunk list;
     }
-      (** two DCs joined by WAN trunks ({!Xmp_net.Wan.create_flat});
+      (** two DCs joined by WAN trunks on the driver's one network;
           [config.k] is ignored — the DC specs size the fabric *)
 
 type assignment =

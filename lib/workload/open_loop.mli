@@ -70,14 +70,14 @@ val arrival_rate : config -> float
 
 val ideal_fct :
   config ->
-  locality:Xmp_net.Fat_tree.locality ->
+  locality:Xmp_net.Fabric.locality ->
   size_segments:int ->
   Xmp_engine.Time.t
 (** The slowdown denominator: line-rate transfer time plus the zero-load
     RTT for the locality (a flow that never queues or shares scores 1).
-    Raises [Invalid_argument] for {!Xmp_net.Fat_tree.Inter_dc}: the
+    Raises [Invalid_argument] for {!Xmp_net.Fabric.Inter_dc}: the
     cross-DC ideal depends on the trunk delay, so WAN runs compute it
-    from {!Xmp_net.Wan.zero_load_rtt} internally. *)
+    from {!Xmp_net.Fabric.zero_load_rtt} internally. *)
 
 val run : ?config:config -> ?domains:int -> unit -> result
 (** The pod-sharded fat tree ([config.k] pods), as always. *)
@@ -86,18 +86,18 @@ val run_wan :
   ?config:config ->
   ?domains:int ->
   ?faults:Xmp_engine.Fault_spec.t ->
-  left:Xmp_net.Wan.dc_spec ->
-  right:Xmp_net.Wan.dc_spec ->
-  trunks:Xmp_net.Wan.trunk list ->
+  left:Xmp_net.Fabric.dc_spec ->
+  right:Xmp_net.Fabric.dc_spec ->
+  trunks:Xmp_net.Fabric.trunk list ->
   unit ->
   result
-(** The same open-loop generator over a two-DC {!Xmp_net.Wan} bridge
+(** The same open-loop generator over a two-DC {!Xmp_net.Fabric} bridge
     (one shard per DC; [config.k] is ignored, the DC specs size the
     fabric). [config.cross_dc] of each host's arrivals target a uniform
     host in the other DC; the rest stay uniform within the source DC.
     Cross-DC ideals use the fastest trunk's zero-load RTT, so slowdown
     stays comparable across trunk configurations. [faults] (e.g.
-    Gilbert–Elliott loss targeting the ["wan"] tag or a
-    {!Xmp_net.Wan.trunk_link_name}) is installed on both DC networks.
+    Gilbert–Elliott loss targeting the ["wan"] tag or a trunk link such
+    as ["d0.bdr0->d1.bdr0"]) is installed on both DC networks.
     Determinism contract is unchanged: [domains:1 ≡ domains:2]
     byte-identical. *)

@@ -7,7 +7,9 @@
 module Sim = Xmp_engine.Sim
 module Time = Xmp_engine.Time
 module Net = Xmp_net
-module Trace = Xmp_net.Trace
+module Sink = Xmp_telemetry.Sink
+module Recorder = Xmp_telemetry.Recorder
+module Export = Xmp_telemetry.Export
 module Testbed = Xmp_net.Testbed
 module Tcp = Xmp_transport.Tcp
 module Driver = Xmp_workload.Driver
@@ -54,10 +56,16 @@ let test_driver_seed_sensitivity () =
   let d2 = digest_of_run (Driver.run { fat_tree_config with seed = 8 }) in
   Alcotest.(check bool) "different seed, different run" true (d1 <> d2)
 
-(* Trace-level reproducibility: the full packet-event log of a dumbbell
-   scenario, byte for byte. *)
+(* Trace-level reproducibility: the full telemetry event log of a
+   dumbbell scenario — every enqueue, dequeue, CE mark, drop and cwnd
+   change — exported as CSV, byte for byte. *)
 let traced_run () =
-  let sim = Sim.create ~config:{ Sim.default_config with seed = 21 } () in
+  let sink = Sink.create ~recorder_capacity:(1 lsl 18) () in
+  let sim =
+    Sim.create
+      ~config:{ Sim.default_config with seed = 21; telemetry = sink }
+      ()
+  in
   let net = Net.Network.create sim in
   let disc () =
     Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
@@ -69,8 +77,6 @@ let traced_run () =
         [ { Testbed.rate = Net.Units.mbps 100.; delay = Time.us 50; disc } ]
       ()
   in
-  let trace = Trace.create ~sim () in
-  Trace.watch_link trace (Testbed.bottleneck_fwd tb 0);
   for host = 0 to 1 do
     ignore
       (Tcp.create ~net ~flow:(host + 1) ~subflow:0
@@ -83,7 +89,10 @@ let traced_run () =
          ())
   done;
   Sim.run ~until:(Time.ms 80) sim;
-  Trace.dump trace
+  let recorder = Sink.recorder sink in
+  Alcotest.(check int)
+    "recorder kept every event" 0 (Recorder.dropped recorder);
+  Export.events_csv recorder
 
 let test_trace_repeatable () =
   let t1 = traced_run () in

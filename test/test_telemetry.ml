@@ -196,21 +196,65 @@ let test_export_metrics () =
     (List.length
        (String.split_on_char '\n' (String.trim (Export.metrics_jsonl r))))
 
-(* ----- API compatibility ----- *)
+(* ----- queue events against queue counters ----- *)
 
-let test_create_legacy () =
-  let s1 =
-    (Xmp_engine.Sim.create_legacy ~seed:9 () [@alert "-deprecated"])
-  in
-  let s2 =
+(* A shallow marking bottleneck under one long flow: every CE mark and
+   every drop the queue counts must appear once in the recorder, tagged
+   with the bottleneck's queue name. *)
+let test_queue_events_match_counters () =
+  let sink = Sink.create () in
+  let sim =
     Xmp_engine.Sim.create
-      ~config:{ Xmp_engine.Sim.default_config with seed = 9 }
+      ~config:{ Xmp_engine.Sim.default_config with seed = 13; telemetry = sink }
       ()
   in
-  Alcotest.(check int)
-    "legacy wrapper draws the same stream"
-    (Random.State.int (Xmp_engine.Sim.rng s1) 1_000_000)
-    (Random.State.int (Xmp_engine.Sim.rng s2) 1_000_000)
+  let net = Xmp_net.Network.create sim in
+  let disc () =
+    Xmp_net.Queue_disc.create ~policy:(Xmp_net.Queue_disc.Threshold_mark 2)
+      ~capacity_pkts:5
+  in
+  let tb =
+    Xmp_net.Testbed.create ~net ~n_left:1 ~n_right:1
+      ~bottlenecks:
+        [
+          {
+            Xmp_net.Testbed.rate = Xmp_net.Units.mbps 100.;
+            delay = Xmp_engine.Time.us 50;
+            disc;
+          };
+        ]
+      ()
+  in
+  let conn =
+    Xmp_transport.Tcp.create ~net ~flow:1 ~subflow:0
+      ~src:(Xmp_net.Testbed.left_id tb 0)
+      ~dst:(Xmp_net.Testbed.right_id tb 0)
+      ~path:0 ~cc:(Xmp_core.Bos.make ()) ~config:Xmp_core.Xmp.tcp_config
+      ~source:(Xmp_transport.Tcp.Limited (ref 400))
+      ()
+  in
+  Xmp_engine.Sim.run ~until:(Xmp_engine.Time.sec 10.) sim;
+  Alcotest.(check bool) "done" true (Xmp_transport.Tcp.is_complete conn);
+  let link = Xmp_net.Testbed.bottleneck_fwd tb 0 in
+  let queue = Xmp_net.Link.name link in
+  let count kind =
+    let n = ref 0 in
+    Recorder.iter
+      (fun e ->
+        match e.Recorder.event with
+        | (Event.Ce_mark { queue = q; _ } | Event.Drop { queue = q; _ })
+          when String.equal q queue && Event.kind e.Recorder.event = kind ->
+          incr n
+        | _ -> ())
+      (Sink.recorder sink);
+    !n
+  in
+  let disc = Xmp_net.Link.disc link in
+  Alcotest.(check bool) "some marks" true (Xmp_net.Queue_disc.marked disc > 0);
+  Alcotest.(check int) "mark events = counter"
+    (Xmp_net.Queue_disc.marked disc) (count "ce-mark");
+  Alcotest.(check int) "drop events = counter"
+    (Xmp_net.Queue_disc.dropped disc) (count "drop")
 
 (* ----- telemetry does not perturb the simulation ----- *)
 
@@ -266,8 +310,8 @@ let suite =
       test_enabled_sink_records;
     Alcotest.test_case "export events" `Quick test_export_events;
     Alcotest.test_case "export metrics" `Quick test_export_metrics;
-    Alcotest.test_case "create_legacy compatibility" `Quick
-      test_create_legacy;
+    Alcotest.test_case "queue events match counters" `Quick
+      test_queue_events_match_counters;
     Alcotest.test_case "telemetry does not perturb runs" `Quick
       test_fig_run_unperturbed;
   ]
