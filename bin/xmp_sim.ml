@@ -24,20 +24,42 @@ module Fault_spec = Xmp_engine.Fault_spec
 
 (* ----- shared options ----- *)
 
+(* Validated options fail at parse time with cmdliner's usage-error exit
+   (124) and a message, never as an uncaught exception mid-run.
+   [positive_float] accepts finite values > 0. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite positive number" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+(* fat-tree arity: even and >= 2 *)
+let parse_arity s =
+  match int_of_string_opt s with
+  | Some k when k >= 2 && k mod 2 = 0 -> Ok k
+  | _ -> Error (`Msg (Printf.sprintf "bad fat-tree arity %S (even, >= 2)" s))
+
+(* [-k], defaulting to 4 (16 hosts) for the closed-loop runs and to 8
+   (128 hosts) for the open-loop workload *)
+let k_t default =
+  let doc = "Fat-tree arity $(docv) (even, >= 2; 4 => 16 hosts, 8 => 128)." in
+  Arg.(
+    value
+    & opt (conv (parse_arity, Format.pp_print_int)) default
+    & info [ "k" ] ~docv:"K" ~doc)
+
 let scale_t =
   let doc =
     "Time-scale factor applied to the paper's schedules (1.0 = the paper's \
      wall-clock timeline)."
   in
-  Arg.(value & opt float 0.2 & info [ "scale" ] ~docv:"FACTOR" ~doc)
+  Arg.(value & opt positive_float 0.2 & info [ "scale" ] ~docv:"FACTOR" ~doc)
 
 let beta_t =
   let doc = "XMP window-reduction divisor (paper default 4)." in
   Arg.(value & opt int 4 & info [ "beta" ] ~docv:"BETA" ~doc)
-
-let k_arity_t =
-  let doc = "Fat-tree arity $(docv) (even; 4 => 16 hosts, 8 => 128)." in
-  Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc)
 
 let horizon_t =
   let doc = "Simulated horizon in seconds for fat-tree runs." in
@@ -267,7 +289,7 @@ let matrix_cmd =
   Cmd.v
     (Cmd.info "matrix" ~doc:"Tables 1 and 3: the fat-tree goodput matrix")
     Term.(
-      const run $ k_arity_t $ horizon_t $ seed_t $ marking_t $ queue_t
+      const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ queue_t
       $ beta_t)
 
 let print_eval base scheme pattern =
@@ -304,7 +326,7 @@ let eval_cmd =
   Cmd.v
     (Cmd.info "eval" ~doc:"One fat-tree run in detail")
     Term.(
-      const run $ k_arity_t $ horizon_t $ seed_t $ marking_t $ queue_t
+      const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ queue_t
       $ beta_t $ sack_t $ scheme_t $ pattern_t)
 
 (* ----- sweep: the scenario runner exposed for user experiments ----- *)
@@ -404,7 +426,7 @@ let sweep_cmd =
          "Scheme-by-pattern evaluation matrix, run across worker processes \
           with digest-keyed result caching")
     Term.(
-      const run $ k_arity_t $ horizon_t $ seed_t $ marking_t $ queue_t
+      const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ queue_t
       $ beta_t $ sack_t $ schemes_t $ patterns_t $ jobs_t $ no_cache_t)
 
 (* ----- trace: one instrumented experiment, recording exported ----- *)
@@ -552,7 +574,7 @@ let faults_cmd =
           telemetry summary (flows, goodput, injected drops, \
           link-down/link-up/injected-drop events)")
     Term.(
-      const run $ k_arity_t $ horizon_t $ seed_t $ marking_t $ queue_t
+      const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ queue_t
       $ beta_t $ sack_t $ scheme_t $ pattern_t $ faults_t $ list_links_t)
 
 (* ----- workload: open-loop FCT-slowdown runs at paper scale ----- *)
@@ -585,13 +607,9 @@ let cdf_t =
   in
   Arg.(value & opt cdf_conv Flow_size.web_search & info [ "cdf" ] ~docv:"CDF" ~doc)
 
-let wl_k_t =
-  let doc = "Fat-tree arity $(docv) (even; 8 => 128 hosts)." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
-
 let load_t =
   let doc = "Offered load as a fraction of the host line rate." in
-  Arg.(value & opt float 0.4 & info [ "load" ] ~docv:"FRACTION" ~doc)
+  Arg.(value & opt positive_float 0.4 & info [ "load" ] ~docv:"FRACTION" ~doc)
 
 let size_scale_t =
   let doc =
@@ -615,7 +633,15 @@ let flows_t =
 
 let domains_t =
   let doc = "Worker domains for the pod-sharded run (never changes results)." in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad domain count %S (>= 1)" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "domains" ] ~docv:"N" ~doc)
 
 let wl_out_t =
   let doc =
@@ -674,7 +700,7 @@ let workload_cmd =
          "Open-loop workload on the pod-sharded fat tree: Poisson arrivals, \
           empirical flow sizes, FCT-slowdown CDFs")
     Term.(
-      const run $ wl_k_t $ seed_t $ scheme_t $ cdf_t $ size_scale_t $ load_t
+      const run $ k_t 8 $ seed_t $ scheme_t $ cdf_t $ size_scale_t $ load_t
       $ wl_horizon_t $ drain_t $ flows_t $ domains_t $ marking_t $ queue_t
       $ beta_t $ sack_t $ wl_out_t)
 
@@ -687,11 +713,7 @@ module Units = Xmp_net.Units
 let dc_spec_conv =
   let parse s =
     match String.split_on_char ':' s with
-    | [ "ft"; k ] -> (
-      match int_of_string_opt k with
-      | Some k when k >= 2 && k mod 2 = 0 -> Ok (Wan.Fat_tree_dc { k })
-      | _ ->
-        Error (`Msg (Printf.sprintf "bad fat-tree arity %S (even, >= 2)" k)))
+    | [ "ft"; k ] -> Result.map (fun k -> Wan.Fat_tree_dc { k }) (parse_arity k)
     | [ "ls"; dims ] -> (
       match
         List.map int_of_string_opt (String.split_on_char ',' dims)
@@ -902,7 +924,7 @@ let coexist_cmd =
   in
   Cmd.v
     (Cmd.info "coexist" ~doc:"Table 2: XMP coexisting with other schemes")
-    Term.(const run $ k_arity_t $ horizon_t $ seed_t $ marking_t $ beta_t)
+    Term.(const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ beta_t)
 
 let ablation_cmd =
   let run k horizon seed scale =
@@ -914,7 +936,7 @@ let ablation_cmd =
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Parameter sweeps (beta, K, subflows, coupling)")
-    Term.(const run $ k_arity_t $ horizon_t $ seed_t $ scale_t)
+    Term.(const run $ k_t 4 $ horizon_t $ seed_t $ scale_t)
 
 let main_cmd =
   let doc = "packet-level reproduction of XMP (CoNEXT 2013)" in

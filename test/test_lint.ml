@@ -1,14 +1,13 @@
 (* Tests for the xmplint analysis engine (tool/lint as Xmplint_lib):
-   lexer token/position/pragma behaviour, declaration grouping, the three
-   declaration-level passes against their fixture files, a self-lint of
-   the linter's own sources, and the baseline ratchet — including an
-   end-to-end run of main.exe proving an injected finding exits nonzero
-   and the JSON diff names the rule. *)
+   the pragma grammar, the rules against their fixture files (including
+   the lexical and parse-tree edge cases a token scanner gets wrong), a
+   self-lint of the linter's own sources, and an end-to-end run of
+   main.exe proving an injected finding exits nonzero with a JSON report
+   naming the rule. *)
 
-module Lexer = Xmplint_lib.Lexer
+module Pragma = Xmplint_lib.Pragma
 module Rules = Xmplint_lib.Rules
 module Report = Xmplint_lib.Report
-module Baseline = Xmplint_lib.Baseline
 
 let read_file path =
   let ic = open_in_bin path in
@@ -51,89 +50,30 @@ let rule_count rule findings =
     (List.filter (fun (f : Report.finding) -> f.Report.rule = rule) findings)
 
 (* ------------------------------------------------------------------ *)
-(* Lexer *)
+(* Pragmas, read from the comments the compiler's lexer collects *)
 
-let test_lexer_positions () =
-  let lx = Lexer.lex ~path:"lib/x.ml" "let a = 1\nlet b_ns = Time.to_ns t\n" in
-  let tok i = lx.Lexer.tokens.(i) in
-  Alcotest.(check int) "token count" 9 (Array.length lx.Lexer.tokens);
-  (match (tok 0).Lexer.kind with
-  | Lexer.Keyword "let" -> ()
-  | _ -> Alcotest.fail "first token should be Keyword let");
-  Alcotest.(check int) "line of first" 1 (tok 0).Lexer.line;
-  Alcotest.(check int) "col of first" 0 (tok 0).Lexer.col;
-  (match (tok 5).Lexer.kind with
-  | Lexer.Ident "b_ns" -> ()
-  | _ -> Alcotest.fail "b_ns ident expected");
-  Alcotest.(check int) "line 2" 2 (tok 5).Lexer.line;
-  Alcotest.(check int) "col of b_ns" 4 (tok 5).Lexer.col;
-  match (tok 7).Lexer.kind with
-  | Lexer.Ident "Time.to_ns" -> ()
-  | _ -> Alcotest.fail "dotted path should lex as one Ident"
-
-let test_lexer_strings_comments () =
-  let src =
-    "let s = \"Obj.magic inside a string\"\n\
-     (* Obj.magic inside a comment *)\n\
-     let q = {x|Obj.magic quoted|x}\n"
-  in
-  let lx = Lexer.lex ~path:"lib/x.ml" src in
-  Array.iter
-    (fun (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Ident "Obj.magic" -> Alcotest.fail "Obj.magic leaked from text"
-      | _ -> ())
-    lx.Lexer.tokens;
-  let strs =
-    Array.to_list lx.Lexer.tokens
-    |> List.filter (fun (t : Lexer.token) -> t.Lexer.kind = Lexer.Str)
-  in
-  Alcotest.(check int) "two string tokens" 2 (List.length strs)
-
-let test_lexer_pragmas () =
+let test_pragmas () =
   let src =
     "(* xmplint: allow mutable-global — justified because reasons *)\n\
      let a = ref 0\n\
      (* xmplint: allow unit-suffix *)\n\
      let b = 1\n"
   in
-  let lx = Lexer.lex ~path:"lib/x.ml" src in
-  Alcotest.(check int) "two pragmas" 2 (List.length lx.Lexer.pragmas);
+  let _, pragmas = Rules.parse ~path:"lib/x.ml" src in
+  Alcotest.(check int) "two pragmas" 2 (List.length pragmas);
   Alcotest.(check bool) "waived on next line" true
-    (Lexer.waived lx ~line:2 ~rule:"mutable-global");
+    (Pragma.waived pragmas ~line:2 ~rule:"mutable-global");
   Alcotest.(check bool) "justified" true
-    (Lexer.waived_justified lx ~line:2 ~rule:"mutable-global");
+    (Pragma.waived_justified pragmas ~line:2 ~rule:"mutable-global");
   Alcotest.(check bool) "unit-suffix pragma has no justification" false
-    (Lexer.waived_justified lx ~line:4 ~rule:"unit-suffix");
+    (Pragma.waived_justified pragmas ~line:4 ~rule:"unit-suffix");
   Alcotest.(check bool) "still a plain waiver" true
-    (Lexer.waived lx ~line:4 ~rule:"unit-suffix");
+    (Pragma.waived pragmas ~line:4 ~rule:"unit-suffix");
   Alcotest.(check bool) "rule mismatch does not waive" false
-    (Lexer.waived lx ~line:2 ~rule:"unit-suffix")
-
-let test_items () =
-  let src =
-    "let a = 1\n\n\
-     let f x =\n  let inner = ref 0 in\n  !inner + x\n\n\
-     type t = { mutable n : int }\n\n\
-     module M = struct\n  let hidden = 2\nend\n"
-  in
-  let lx = Lexer.lex ~path:"lib/x.ml" src in
-  let items = Lexer.items lx in
-  let heads = List.map (fun (it : Lexer.item) -> it.Lexer.head) items in
-  Alcotest.(check (list string))
-    "toplevel heads" [ "let"; "let"; "type"; "module" ] heads;
-  let names =
-    List.map
-      (fun (it : Lexer.item) ->
-        Option.value ~default:"?" it.Lexer.name)
-      items
-  in
-  Alcotest.(check (list string)) "names" [ "a"; "f"; "t"; "M" ] names;
-  (* the expression-level [let inner] must not open a toplevel item *)
-  Alcotest.(check int) "4 items" 4 (List.length items)
+    (Pragma.waived pragmas ~line:2 ~rule:"unit-suffix")
 
 (* ------------------------------------------------------------------ *)
-(* New passes on fixtures *)
+(* Rules on fixtures *)
 
 let test_mutable_global_fixture () =
   let findings = lint_fixture "mutable_global_cases.ml" in
@@ -209,6 +149,41 @@ let test_bad_example_still_fires () =
       "poly-compare-time"; "bare-compare"; "stdout-in-lib"; "direct-printf";
     ]
 
+(* "line:rule" or "line:rule(decl)" per finding *)
+let brief findings =
+  List.map
+    (fun (f : Report.finding) ->
+      Printf.sprintf "%d:%s%s" f.line f.rule
+        (match f.decl with Some d -> "(" ^ d ^ ")" | None -> ""))
+    findings
+
+(* Legal OCaml a hand-written lexer gets wrong: every Obj.magic after
+   one of these edges is flagged, and none quoted inside a literal or a
+   comment. *)
+let test_lexical_edges () =
+  Alcotest.(check (list string))
+    "findings"
+    [ "7:obj-magic"; "10:obj-magic"; "13:obj-magic" ]
+    (brief (lint_fixture "lexical_edges.ml"))
+
+(* Where the parse tree, not token adjacency, decides a finding. *)
+let test_parse_tree_edges () =
+  Alcotest.(check (list string))
+    "findings"
+    [
+      "8:poly-compare-time"; "19:mutable-global(pair)";
+      "23:unit-suffix(wait_ns)"; "25:unit-suffix(fields)";
+      "32:mutable-global(cells)";
+    ]
+    (brief (lint_fixture "parse_tree_edges.ml"))
+
+(* A file the compiler cannot parse is a finding, never a silent pass. *)
+let test_parse_error () =
+  let rep = Report.create () in
+  Rules.lint_source rep ~path:"lib/broken.ml" "let ok = 1\nlet x = in\n";
+  Alcotest.(check (list string))
+    "findings" [ "2:parse-error" ] (brief (Report.sorted rep))
+
 (* ------------------------------------------------------------------ *)
 (* Self-lint: the linter's own sources must be clean *)
 
@@ -219,7 +194,7 @@ let test_self_lint () =
       let path = Filename.concat tool_dir name in
       Alcotest.(check bool) (name ^ " exists") true (Sys.file_exists path);
       Rules.lint_source rep ~path:("tool/lint/" ^ name) (read_file path))
-    [ "lexer.ml"; "rules.ml"; "report.ml"; "baseline.ml"; "main.ml" ];
+    [ "pragma.ml"; "rules.ml"; "report.ml"; "main.ml" ];
   let findings = Report.sorted rep in
   Alcotest.(check (list string))
     "xmplint is clean on its own sources" []
@@ -227,8 +202,7 @@ let test_self_lint () =
 
 (* The coupling seam and every multipath controller on it must stay
    lint-clean — the unit-suffix and iteration-order rules in particular
-   guard the float/Time.t boundary these files live on. Keeping them at
-   zero findings keeps tool/lint/baseline.json empty. *)
+   guard the float/Time.t boundary these files live on. *)
 let test_controller_sources_lint_clean () =
   let mptcp_dir =
     if Sys.file_exists "../lib/mptcp" then "../lib/mptcp" else "lib/mptcp"
@@ -245,101 +219,9 @@ let test_controller_sources_lint_clean () =
     "multipath controllers are lint-clean" []
     (List.map Report.finding_to_string findings)
 
-(* ------------------------------------------------------------------ *)
-(* Baseline ratchet *)
-
-let mk_finding path rule decl : Report.finding =
-  { Report.path; line = 10; rule; decl = Some decl; msg = "synthetic" }
-
-let test_baseline_roundtrip () =
-  let file = Filename.temp_file "xmplint_baseline" ".json" in
-  let findings =
-    [
-      mk_finding "lib/a.ml" "hashtbl-order" "f";
-      mk_finding "lib/a.ml" "hashtbl-order" "g";
-      mk_finding "lib/b.ml" "unit-suffix" "h";
-    ]
-  in
-  Baseline.write file findings;
-  (match Baseline.load file with
-  | Error e -> Alcotest.fail e
-  | Ok entries ->
-    Alcotest.(check int) "two pinned keys" 2 (List.length entries);
-    let find p r =
-      List.find_opt
-        (fun e -> e.Baseline.b_path = p && e.Baseline.b_rule = r)
-        entries
-    in
-    (match find "lib/a.ml" "hashtbl-order" with
-    | Some e -> Alcotest.(check int) "count 2" 2 e.Baseline.b_count
-    | None -> Alcotest.fail "missing lib/a.ml pin");
-    match find "lib/b.ml" "unit-suffix" with
-    | Some e -> Alcotest.(check int) "count 1" 1 e.Baseline.b_count
-    | None -> Alcotest.fail "missing lib/b.ml pin");
-  Sys.remove file
-
-let test_ratchet_verdicts () =
-  let baseline =
-    [ { Baseline.b_path = "lib/a.ml"; b_rule = "hashtbl-order"; b_count = 1 } ]
-  in
-  (* within budget: one finding suppressed *)
-  let v1 = Baseline.apply baseline [ mk_finding "lib/a.ml" "hashtbl-order" "f" ] in
-  Alcotest.(check int) "no violations" 0 (List.length v1.Baseline.violations);
-  Alcotest.(check int) "suppressed" 1 v1.Baseline.suppressed;
-  Alcotest.(check int) "no stale" 0 (List.length v1.Baseline.stale);
-  (* growth: second finding for the same key violates *)
-  let v2 =
-    Baseline.apply baseline
-      [
-        mk_finding "lib/a.ml" "hashtbl-order" "f";
-        mk_finding "lib/a.ml" "hashtbl-order" "g";
-      ]
-  in
-  (match v2.Baseline.violations with
-  | [ viol ] ->
-    Alcotest.(check string) "rule named" "hashtbl-order" viol.Baseline.v_rule;
-    Alcotest.(check int) "allowed" 1 viol.Baseline.v_allowed;
-    Alcotest.(check int) "found" 2 viol.Baseline.v_found
-  | other ->
-    Alcotest.failf "expected one violation, got %d" (List.length other));
-  (* fixed finding: stale pin reported, still clean *)
-  let v3 = Baseline.apply baseline [] in
-  Alcotest.(check int) "clean" 0 (List.length v3.Baseline.violations);
-  (match v3.Baseline.stale with
-  | [ (p, r, pinned, found) ] ->
-    Alcotest.(check string) "stale path" "lib/a.ml" p;
-    Alcotest.(check string) "stale rule" "hashtbl-order" r;
-    Alcotest.(check int) "pinned" 1 pinned;
-    Alcotest.(check int) "found" 0 found
-  | other -> Alcotest.failf "expected one stale entry, got %d" (List.length other));
-  (* a fresh rule with no pin violates immediately (ratchet from zero) *)
-  let v4 = Baseline.apply baseline [ mk_finding "lib/z.ml" "unit-suffix" "k" ] in
-  Alcotest.(check int) "new rule violates" 1 (List.length v4.Baseline.violations)
-
-let test_ratchet_json_names_rule () =
-  let baseline = [] in
-  let v =
-    Baseline.apply baseline [ mk_finding "lib/a.ml" "mutable-global" "total" ]
-  in
-  let json =
-    Report.to_json ~ratchet:(Baseline.verdict_to_json v) ~files:1
-      [ mk_finding "lib/a.ml" "mutable-global" "total" ]
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "json names the rule" true
-    (contains json "\"rule\": \"mutable-global\"");
-  Alcotest.(check bool) "json names the declaration" true
-    (contains json "\"decl\": \"total\"");
-  Alcotest.(check bool) "ratchet not clean" true
-    (contains json "\"clean\": false")
-
 (* End to end: an injected finding makes main.exe exit nonzero with a
-   JSON report naming the rule; pinning it in a baseline restores 0. *)
-let test_main_exe_ratchet () =
+   JSON report naming the rule and declaration. *)
+let test_main_exe_injected () =
   let exe = main_exe in
   Alcotest.(check bool) "main.exe built" true (Sys.file_exists exe);
   let root = Filename.temp_file "xmplint_tree" "" in
@@ -370,36 +252,17 @@ let test_main_exe_ratchet () =
     (contains json "\"rule\": \"mutable-global\"");
   Alcotest.(check bool) "report names the declaration" true
     (contains json "\"decl\": \"leak\"");
-  (* pin it (missing-mli fires too: leaky.ml has no interface) *)
-  let bfile = Filename.temp_file "xmplint_pin" ".json" in
-  Baseline.write bfile
-    [
-      mk_finding "lib/leaky.ml" "mutable-global" "leak";
-      mk_finding "lib/leaky.ml" "missing-mli" "leaky";
-    ];
-  let code2 =
-    run
-      (Printf.sprintf "--root %s --format json --baseline %s lib"
-         (Filename.quote root) (Filename.quote bfile))
-  in
-  Alcotest.(check int) "pinned baseline exits 0" 0 code2;
-  Alcotest.(check bool) "ratchet clean in json" true
-    (contains (read_file out) "\"clean\": true");
+  Alcotest.(check bool) "report is not clean" true
+    (contains json "\"clean\": false");
   Sys.remove out;
-  Sys.remove bfile;
   Sys.remove src;
   Unix.rmdir (Filename.concat root "lib");
   Unix.rmdir root
 
 let suite =
   [
-    Alcotest.test_case "lexer: positions and dotted idents" `Quick
-      test_lexer_positions;
-    Alcotest.test_case "lexer: strings and comments elided" `Quick
-      test_lexer_strings_comments;
     Alcotest.test_case "lexer: pragma grammar with justification" `Quick
-      test_lexer_pragmas;
-    Alcotest.test_case "items: toplevel declaration grouping" `Quick test_items;
+      test_pragmas;
     Alcotest.test_case "mutable-global: fixture cases" `Quick
       test_mutable_global_fixture;
     Alcotest.test_case "unit-suffix: fixture cases" `Quick
@@ -410,16 +273,16 @@ let suite =
       test_packet_release_fixtures;
     Alcotest.test_case "legacy rules still fire on bad_example" `Quick
       test_bad_example_still_fires;
+    Alcotest.test_case "lexical edges: every Obj.magic after one flagged"
+      `Quick test_lexical_edges;
+    Alcotest.test_case "parse-tree edges: operands, not adjacent tokens"
+      `Quick test_parse_tree_edges;
+    Alcotest.test_case "unparsable file: one parse-error finding" `Quick
+      test_parse_error;
     Alcotest.test_case "self-lint: engine sources are clean" `Quick
       test_self_lint;
     Alcotest.test_case "multipath controller sources are lint-clean" `Quick
       test_controller_sources_lint_clean;
-    Alcotest.test_case "baseline: write/load roundtrip" `Quick
-      test_baseline_roundtrip;
-    Alcotest.test_case "baseline: ratchet verdicts" `Quick
-      test_ratchet_verdicts;
-    Alcotest.test_case "baseline: JSON names rule and declaration" `Quick
-      test_ratchet_json_names_rule;
-    Alcotest.test_case "main.exe: injected finding fails, pin restores" `Quick
-      test_main_exe_ratchet;
+    Alcotest.test_case "main.exe: injected finding exits 1" `Quick
+      test_main_exe_injected;
   ]

@@ -3,8 +3,8 @@
    A [t] accumulates findings file by file; rendering sorts them by
    (path, line, rule) so output order never depends on directory walk or
    rule evaluation order. JSON output is the integration surface for CI:
-   a stable object with per-rule counts, the finding list, and — when a
-   baseline ratchet was applied — the ratchet verdict. *)
+   a stable object with a top-level [clean] verdict, per-rule counts and
+   the finding list. *)
 
 type finding = {
   path : string;
@@ -14,14 +14,12 @@ type finding = {
   msg : string;
 }
 
-type t = { mutable findings : finding list; mutable files : int }
+type t = { mutable findings : finding list }
 
-let create () = { findings = []; files = 0 }
+let create () = { findings = [] }
 
 let add t ?decl ~path ~line ~rule msg =
   t.findings <- { path; line; rule; decl; msg } :: t.findings
-
-let count_file t = t.files <- t.files + 1
 
 let sorted t =
   List.sort
@@ -82,14 +80,14 @@ let finding_to_json f =
     "{\"path\": \"%s\", \"line\": %d, \"rule\": \"%s\", %s\"msg\": \"%s\"}"
     (json_escape f.path) f.line (json_escape f.rule) decl (json_escape f.msg)
 
-(* [ratchet_json] is an optional pre-rendered JSON fragment (from
-   [Baseline.verdict_to_json]) spliced in as the "ratchet" field. *)
-let to_json ?ratchet ~files findings =
+let to_json ~files findings =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"tool\": \"xmplint\",\n";
-  Buffer.add_string buf "  \"version\": 2,\n";
+  Buffer.add_string buf "  \"version\": 3,\n";
   Buffer.add_string buf (Printf.sprintf "  \"files_scanned\": %d,\n" files);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"clean\": %b,\n" (findings = []));
   Buffer.add_string buf "  \"counts\": {";
   Buffer.add_string buf
     (String.concat ", "
@@ -106,11 +104,5 @@ let to_json ?ratchet ~files findings =
       Buffer.add_string buf (finding_to_json f))
     findings;
   if findings <> [] then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "]";
-  (match ratchet with
-  | Some r ->
-    Buffer.add_string buf ",\n  \"ratchet\": ";
-    Buffer.add_string buf r
-  | None -> ());
-  Buffer.add_string buf "\n}\n";
+  Buffer.add_string buf "]\n}\n";
   Buffer.contents buf
