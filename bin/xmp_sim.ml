@@ -13,7 +13,10 @@
                                         --fail-link also work on the
                                         figure and trace subcommands)
      xmp_sim coexist                  — Table 2
-     xmp_sim ablation                 — parameter sweeps *)
+     xmp_sim ablation                 — parameter sweeps
+     xmp_sim run [NAME...]            — registered scenarios (every figure
+                                        and table by default) through the
+                                        parallel, cached scenario runner *)
 
 open Cmdliner
 module E = Xmp_experiments
@@ -25,15 +28,26 @@ module Fault_spec = Xmp_engine.Fault_spec
 (* ----- shared options ----- *)
 
 (* Validated options fail at parse time with cmdliner's usage-error exit
-   (124) and a message, never as an uncaught exception mid-run.
-   [positive_float] accepts finite values > 0. *)
-let positive_float =
+   (124) and a message, never as an uncaught exception mid-run. *)
+let finite_float what ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0. -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite positive number" s))
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite %s" s what))
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let positive_float = finite_float "positive number" (fun x -> x > 0.)
+let non_negative_float = finite_float "number >= 0" (fun x -> x >= 0.)
+
+(* integers >= [n]; [what] names the value in the message *)
+let int_at_least what n =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= n -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "bad %s %S (>= %d)" what s n))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* fat-tree arity: even and >= 2 *)
 let parse_arity s =
@@ -58,12 +72,13 @@ let scale_t =
   Arg.(value & opt positive_float 0.2 & info [ "scale" ] ~docv:"FACTOR" ~doc)
 
 let beta_t =
-  let doc = "XMP window-reduction divisor (paper default 4)." in
-  Arg.(value & opt int 4 & info [ "beta" ] ~docv:"BETA" ~doc)
+  let doc = "XMP window-reduction divisor (>= 2; paper default 4)." in
+  Arg.(
+    value & opt (int_at_least "beta" 2) 4 & info [ "beta" ] ~docv:"BETA" ~doc)
 
 let horizon_t =
   let doc = "Simulated horizon in seconds for fat-tree runs." in
-  Arg.(value & opt float 2.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 2.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
 
 let seed_t =
   let doc = "Deterministic random seed." in
@@ -75,7 +90,10 @@ let marking_t =
 
 let queue_t =
   let doc = "Switch queue capacity in packets." in
-  Arg.(value & opt int 100 & info [ "queue" ] ~docv:"PKTS" ~doc)
+  Arg.(
+    value
+    & opt (int_at_least "queue capacity" 1) 100
+    & info [ "queue" ] ~docv:"PKTS" ~doc)
 
 let sack_t =
   let doc =
@@ -333,11 +351,19 @@ let eval_cmd =
 
 let jobs_t =
   let doc = "Number of worker processes for the scenario runner." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (int_at_least "job count" 1) 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_cache_t =
+(* the runner's cache mode: _xmp_cache/ unless --no-cache *)
+let cache_t =
   let doc = "Ignore and do not write _xmp_cache/ result entries." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
+  let cache no_cache =
+    if no_cache then Runner.No_cache
+    else Runner.Cache_dir Xmp_runner.Cache.default_dir
+  in
+  Term.(const cache $ Arg.(value & flag & info [ "no-cache" ] ~doc))
 
 (* Commas separate both list elements and scheme tunables
    ("XMP-2:beta=6,k=10"), so a plain [Arg.list] would cut tunable lists
@@ -392,7 +418,7 @@ let patterns_t =
     & info [ "patterns" ] ~docv:"PATTERNS" ~doc)
 
 let sweep_cmd =
-  let run k horizon seed mark queue beta sack schemes patterns jobs no_cache =
+  let run k horizon seed mark queue beta sack schemes patterns jobs cache =
     let base = base_of ~sack k horizon seed mark queue beta in
     let scenarios =
       List.concat_map
@@ -414,10 +440,6 @@ let sweep_cmd =
             patterns)
         schemes
     in
-    let cache =
-      if no_cache then Runner.No_cache
-      else Runner.Cache_dir Xmp_runner.Cache.default_dir
-    in
     ignore (Runner.run_and_print ~jobs ~cache scenarios)
   in
   Cmd.v
@@ -427,7 +449,57 @@ let sweep_cmd =
           with digest-keyed result caching")
     Term.(
       const run $ k_t 4 $ horizon_t $ seed_t $ marking_t $ queue_t
-      $ beta_t $ sack_t $ schemes_t $ patterns_t $ jobs_t $ no_cache_t)
+      $ beta_t $ sack_t $ schemes_t $ patterns_t $ jobs_t $ cache_t)
+
+(* ----- run: registered scenarios through the same runner ----- *)
+
+(* Every table and figure of the paper's evaluation, plus the ablation
+   sweeps; output goes to stdout in request order whatever the job
+   count, progress and cache statistics to stderr. *)
+let run_cmd =
+  let default_set =
+    [
+      "fig1"; "fig4"; "fig6"; "fig7"; "table1"; "fig8"; "fig9"; "fig10";
+      "fig11"; "table2"; "table3"; "ablations";
+    ]
+  in
+  let config_t =
+    let quick = "Fast sanity pass: 0.1x schedules, 0.5 s fat-tree horizon." in
+    let paper = "The paper's scale: 1.0x schedules on the k=8 fat tree." in
+    Arg.(
+      value
+      & vflag E.Scenarios.default
+          [
+            (E.Scenarios.quick, info [ "quick" ] ~doc:quick);
+            (E.Scenarios.paper, info [ "paper-scale" ] ~doc:paper);
+          ])
+  in
+  let names_t =
+    let doc = "Scenarios or groups to run (default: every figure and table)." in
+    Arg.(value & pos_all string [] & info [] ~docv:"NAME" ~doc)
+  in
+  let run config jobs cache names =
+    let names = if names = [] then default_set else names in
+    match E.Scenarios.select config names with
+    | Error name -> `Error (true, Printf.sprintf "unknown scenario %S" name)
+    | Ok scenarios -> `Ok (ignore (Runner.run_and_print ~jobs ~cache scenarios))
+  in
+  let man =
+    (`S "SCENARIOS"
+    :: List.map
+         (fun s -> `I (s.Xmp_runner.Scenario.name, s.Xmp_runner.Scenario.descr))
+         (E.Scenarios.all E.Scenarios.default))
+    @ `S "GROUPS"
+      :: List.map
+           (fun (name, members) -> `I (name, String.concat " " members))
+           E.Scenarios.groups
+  in
+  Cmd.v
+    (Cmd.info "run" ~man
+       ~doc:
+         "Registered scenarios (the paper's figures, tables and ablations), \
+          run across worker processes with digest-keyed result caching")
+    Term.(ret (const run $ config_t $ jobs_t $ cache_t $ names_t))
 
 (* ----- trace: one instrumented experiment, recording exported ----- *)
 
@@ -480,7 +552,10 @@ let out_t =
 
 let capacity_t =
   let doc = "Flight-recorder capacity in events (oldest are evicted)." in
-  Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"EVENTS" ~doc)
+  Arg.(
+    value
+    & opt (int_at_least "recorder capacity" 1) 65536
+    & info [ "capacity" ] ~docv:"EVENTS" ~doc)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -589,7 +664,9 @@ let cdf_conv =
     | path when Sys.file_exists path -> (
       match Flow_size.of_file path with
       | t -> Ok t
-      | exception Invalid_argument m -> Error (`Msg m))
+      | exception Invalid_argument m -> Error (`Msg m)
+      | exception Sys_error m ->
+        Error (`Msg (Printf.sprintf "unreadable CDF file %S: %s" path m)))
     | s ->
       Error
         (`Msg
@@ -617,30 +694,30 @@ let size_scale_t =
      scaling)."
   in
   Arg.(
-    value & opt float (1. /. 32.) & info [ "size-scale" ] ~docv:"FACTOR" ~doc)
+    value
+    & opt positive_float (1. /. 32.)
+    & info [ "size-scale" ] ~docv:"FACTOR" ~doc)
 
 let wl_horizon_t =
   let doc = "Arrival horizon in simulated seconds." in
-  Arg.(value & opt float 0.1 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 0.1 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
 
 let drain_t =
   let doc = "Extra simulated seconds for in-flight flows to finish." in
-  Arg.(value & opt float 0.2 & info [ "drain" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt non_negative_float 0.2 & info [ "drain" ] ~docv:"SECONDS" ~doc)
 
 let flows_t =
   let doc = "Stop generating after $(docv) flows (before the horizon)." in
-  Arg.(value & opt (some int) None & info [ "flows" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (int_at_least "flow count" 1)) None
+    & info [ "flows" ] ~docv:"N" ~doc)
 
 let domains_t =
   let doc = "Worker domains for the pod-sharded run (never changes results)." in
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad domain count %S (>= 1)" s))
-  in
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int)) 1
+    & opt (int_at_least "domain count" 1) 1
     & info [ "domains" ] ~docv:"N" ~doc)
 
 let wl_out_t =
@@ -821,14 +898,18 @@ let trunks_t =
 
 let cross_dc_t =
   let doc = "Fraction of arrivals aimed at the other data center." in
-  Arg.(value & opt float 0.5 & info [ "cross-dc" ] ~docv:"FRACTION" ~doc)
+  let fraction = finite_float "number in [0, 1]" (fun x -> x <= 1. && x >= 0.) in
+  Arg.(value & opt fraction 0.5 & info [ "cross-dc" ] ~docv:"FRACTION" ~doc)
 
 let rto_min_ms_t =
   let doc =
     "RTO floor in milliseconds (default: half the slowest zero-load \
      cross-DC RTT, at least 1 ms)."
   in
-  Arg.(value & opt (some float) None & info [ "rto-min" ] ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt (some non_negative_float) None
+    & info [ "rto-min" ] ~docv:"MS" ~doc)
 
 let goodput_csv m =
   let buf = Buffer.create 256 in
@@ -945,12 +1026,12 @@ let main_cmd =
     [
       fig1_cmd; fig4_cmd; fig6_cmd; fig7_cmd; matrix_cmd; eval_cmd;
       sweep_cmd; trace_cmd; faults_cmd; workload_cmd; wan_cmd; coexist_cmd;
-      ablation_cmd;
+      ablation_cmd; run_cmd;
     ]
 
 let () =
   (* Simulation allocates fast but retains little; a higher space
-     overhead keeps the major GC off the packet hot path (same setting
-     as the bench harness — results are byte-identical either way). *)
+     overhead keeps the major GC off the packet hot path (results are
+     byte-identical either way). *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 200 };
   exit (Cmd.eval main_cmd)

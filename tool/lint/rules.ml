@@ -41,7 +41,7 @@ let category_of path =
     match String.sub path 0 i with
     | "lib" -> Lib
     | "bin" -> Bin
-    | "bench" | "xbench" -> Bench
+    | "xbench" -> Bench
     | "examples" -> Examples
     | "test" -> Test
     | _ -> OtherDir)
@@ -49,9 +49,6 @@ let category_of path =
 (* File-level waivers: (rule, exact path) pairs. *)
 let file_allowlist =
   [
-    (* bench times real executions of the simulator *)
-    ("wall-clock", "bench/main.ml");
-    ("wall-clock", "bench/perf.ml");
     (* the scenario runner forks workers and times whole simulations; it
        is process orchestration, not simulator code *)
     ("wall-clock", "lib/runner/runner.ml");
