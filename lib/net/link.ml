@@ -8,7 +8,7 @@ module Tel = Xmp_telemetry
    in the simulator (two per packet per hop). Both are allocated once per
    link: the serializing packet sits in the [tx] register (only one
    packet serializes at a time), and in-flight packets sit in the [wire]
-   FIFO ring (propagation delay is constant per link, so deliveries
+   FIFO (propagation delay is constant per link, so deliveries
    complete in push order and each deliver event pops the head). *)
 type t = {
   sim : Sim.t;
@@ -26,9 +26,7 @@ type t = {
   mutable bytes_sent : int;
   mutable packets_sent : int;
   mutable tx : Packet.t;  (* the packet currently serializing *)
-  mutable wire : Packet.t array;  (* circular FIFO of in-flight packets *)
-  mutable wire_head : int;
-  mutable wire_len : int;
+  wire : Packet.Fifo.t;  (* in-flight packets, in push order *)
   mutable on_serialized : unit -> unit;  (* preallocated, see [create] *)
   mutable on_deliver : unit -> unit;
   (* resolved once at creation iff the sim's sink is active *)
@@ -37,29 +35,6 @@ type t = {
 }
 
 let no_receiver _ = failwith "Link: receiver not attached"
-
-let wire_push t p =
-  if t.wire_len = Array.length t.wire then begin
-    let cap = 2 * t.wire_len in
-    let wire = Array.make cap Packet.dummy in
-    for i = 0 to t.wire_len - 1 do
-      wire.(i) <- t.wire.((t.wire_head + i) mod t.wire_len)
-    done;
-    t.wire <- wire;
-    t.wire_head <- 0
-  end;
-  let tail = t.wire_head + t.wire_len in
-  let cap = Array.length t.wire in
-  let tail = if tail >= cap then tail - cap else tail in
-  t.wire.(tail) <- p;
-  t.wire_len <- t.wire_len + 1
-
-let wire_pop t =
-  let p = t.wire.(t.wire_head) in
-  let cap = Array.length t.wire in
-  t.wire_head <- (if t.wire_head + 1 >= cap then 0 else t.wire_head + 1);
-  t.wire_len <- t.wire_len - 1;
-  p
 
 let rec transmit t (p : Packet.t) =
   t.busy <- true;
@@ -88,7 +63,7 @@ and serialized t =
   (* Propagation: the packet is on the wire while the next one
      serializes. Deliver only if the link is still up. *)
   if t.up then begin
-    wire_push t p;
+    Packet.Fifo.push t.wire p;
     Sim.after t.sim t.delay t.on_deliver
   end
   else Packet.release p;
@@ -97,7 +72,7 @@ and serialized t =
   | None -> t.busy <- false
 
 and deliver t =
-  let p = wire_pop t in
+  let p = Packet.Fifo.pop t.wire in
   if t.up then t.receiver p else Packet.release p
 
 let create ~sim ~id ~name ~rate ~delay ~disc =
@@ -134,9 +109,7 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
       bytes_sent = 0;
       packets_sent = 0;
       tx = Packet.dummy;
-      wire = Array.make 16 Packet.dummy;
-      wire_head = 0;
-      wire_len = 0;
+      wire = Packet.Fifo.create ();
       on_serialized = ignore;
       on_deliver = ignore;
       c_tx_packets;

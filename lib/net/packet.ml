@@ -117,9 +117,6 @@ type pool = {
   mutable created : int;
 }
 
-(* Shared placeholder for array slots and pre-transmit link registers;
-   never enters circulation (its free bit stays set, so releasing it is
-   reported as a double release). *)
 let dummy =
   (* xmplint: allow mutable-global — placeholder record nothing ever
      writes; the mutability is structural (same type as pooled packets) *)
@@ -157,6 +154,56 @@ let release p =
   end;
   pool.stack.(pool.top) <- p;
   pool.top <- pool.top + 1
+
+(* ---- growable FIFO --------------------------------------------------- *)
+
+module Fifo = struct
+  type packet = t
+
+  type t = {
+    mutable slots : packet array;  (* live packets from [head], wrapping *)
+    mutable head : int;
+    mutable len : int;
+    limit : int;
+  }
+
+  let create ?(limit = max_int) () =
+    { slots = Array.make (Stdlib.min 16 limit) dummy; head = 0; len = 0;
+      limit }
+
+  let length q = q.len
+
+  (* called only when full: copy the two wrapped halves into order *)
+  let grow q =
+    let cap = Array.length q.slots in
+    if cap >= q.limit then invalid_arg "Packet.Fifo.push: full";
+    let slots = Array.make (Stdlib.min (2 * cap) q.limit) dummy in
+    Array.blit q.slots q.head slots 0 (cap - q.head);
+    Array.blit q.slots 0 slots (cap - q.head) q.head;
+    q.slots <- slots;
+    q.head <- 0
+
+  let push q p =
+    if q.len = Array.length q.slots then grow q;
+    let tail = q.head + q.len in
+    let cap = Array.length q.slots in
+    q.slots.(if tail >= cap then tail - cap else tail) <- p;
+    q.len <- q.len + 1
+
+  let pop q =
+    if q.len = 0 then invalid_arg "Packet.Fifo.pop: empty";
+    let p = q.slots.(q.head) in
+    q.head <- (if q.head + 1 = Array.length q.slots then 0 else q.head + 1);
+    q.len <- q.len - 1;
+    p
+
+  let release_all q =
+    let n = q.len in
+    for _ = 1 to n do
+      release (pop q)
+    done;
+    n
+end
 
 (* ---- constructors ----------------------------------------------------- *)
 

@@ -91,9 +91,9 @@ val release : t -> unit
     [Invalid_argument] on a double release. *)
 
 val dummy : t
-(** A shared placeholder for preallocated slots (queue rings, wire
-    registers). It never circulates: releasing it raises, and its fields
-    read as zeros. *)
+(** A shared placeholder for empty slots (FIFO storage, a link's
+    transmit register). It never circulates: releasing it raises, and its
+    fields read as zeros. *)
 
 val pool_created : unit -> int
 (** Records ever created by the current domain's pool (grows only when
@@ -101,6 +101,22 @@ val pool_created : unit -> int
 
 val pool_free : unit -> int
 (** Records currently available for reuse in the current domain's pool. *)
+
+(** The growable ring behind queue discs and link wires: storage starts
+    at 16 slots and doubles when full, up to [limit] (default unbounded),
+    so memory follows peak occupancy. [push] past [limit] and [pop] on
+    empty raise [Invalid_argument]; [release_all] returns every held
+    packet to the pool and counts them. *)
+module Fifo : sig
+  type packet := t
+  type t
+
+  val create : ?limit:int -> unit -> t
+  val length : t -> int
+  val push : t -> packet -> unit
+  val pop : t -> packet
+  val release_all : t -> int
+end
 
 (** {1 Accessors} *)
 

@@ -29,10 +29,8 @@ type telem = {
 
 type t = {
   policy : policy;
-  capacity : int;
-  ring : Packet.t array;  (* circular FIFO of [capacity] slots *)
-  mutable head : int;  (* index of the next packet to dequeue *)
-  mutable len : int;
+  capacity : int;  (* admission bound; [fifo] grows up to it *)
+  fifo : Packet.Fifo.t;
   mutable enqueued : int;
   mutable dropped : int;
   mutable marked : int;
@@ -41,8 +39,6 @@ type t = {
   mutable avg : float;
   mutable count_since_mark : int;
   occupancy : Xmp_stats.Running.t;
-  mutable on_drop : (Packet.t -> unit) option;
-  mutable on_mark : (Packet.t -> unit) option;
   mutable telem : telem option;
   mutable blackout : bool;
 }
@@ -52,9 +48,7 @@ let create ~policy ~capacity_pkts =
   {
     policy;
     capacity = capacity_pkts;
-    ring = Array.make capacity_pkts Packet.dummy;
-    head = 0;
-    len = 0;
+    fifo = Packet.Fifo.create ~limit:capacity_pkts ();
     enqueued = 0;
     dropped = 0;
     marked = 0;
@@ -62,8 +56,6 @@ let create ~policy ~capacity_pkts =
     avg = 0.;
     count_since_mark = -1;
     occupancy = Xmp_stats.Running.create ();
-    on_drop = None;
-    on_mark = None;
     telem = None;
     blackout = false;
   }
@@ -95,27 +87,27 @@ let set_telemetry t ~sink ~now ~queue =
 
 let policy t = t.policy
 let capacity t = t.capacity
-let length t = t.len
+let length t = Packet.Fifo.length t.fifo
 
 let mark t (p : Packet.t) =
   if Packet.ect p && not (Packet.ce p) then begin
     Packet.set_ce p;
     t.marked <- t.marked + 1;
-    (match t.telem with
+    match t.telem with
     | Some tl ->
       Tel.Metric.Counter.inc tl.c_marked;
       Tel.Sink.event tl.sink ~time_ns:(tl.now ())
         (Tel.Event.Ce_mark
            { queue = tl.queue; flow = Packet.flow p;
-             subflow = Packet.subflow p; depth = t.len })
-    | None -> ());
-    match t.on_mark with Some f -> f p | None -> ()
+             subflow = Packet.subflow p; depth = length t })
+    | None -> ()
   end
 
 (* RED decision for an arriving packet: [`Pass], [`Mark] or [`Drop].
    Classic gentle-less RED with the count-based probability correction. *)
 let red_decision t params =
-  t.avg <- ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len);
+  t.avg <-
+    ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int (length t));
   if t.avg < params.min_th then begin
     t.count_since_mark <- -1;
     `Pass
@@ -143,28 +135,26 @@ let red_decision t params =
   end
 
 let append t (p : Packet.t) =
-  let tail = t.head + t.len in
-  let tail = if tail >= t.capacity then tail - t.capacity else tail in
-  t.ring.(tail) <- p;
-  t.len <- t.len + 1;
+  Packet.Fifo.push t.fifo p;
+  let len = length t in
   t.enqueued <- t.enqueued + 1;
-  if t.len > t.max_len then t.max_len <- t.len;
+  if len > t.max_len then t.max_len <- len;
   (match t.telem with
   | Some tl ->
     Tel.Metric.Counter.inc tl.c_enqueued;
-    Tel.Metric.Histogram.add tl.h_depth (float_of_int t.len);
+    Tel.Metric.Histogram.add tl.h_depth (float_of_int len);
     Tel.Sink.event tl.sink ~time_ns:(tl.now ())
       (Tel.Event.Enqueue
          { queue = tl.queue; flow = Packet.flow p;
-           subflow = Packet.subflow p; depth = t.len })
+           subflow = Packet.subflow p; depth = len })
   | None -> ());
+  (* built per call: reading [length t] keeps the closure to [t] alone *)
   if Invariant.enabled () then
     Invariant.require ~name:"queue.occupancy-bounds"
-      (t.len >= 0 && t.len <= t.capacity) (fun () ->
-        Printf.sprintf "occupancy %d outside [0, %d]" t.len t.capacity)
+      (len >= 0 && len <= t.capacity) (fun () ->
+        Printf.sprintf "occupancy %d outside [0, %d]" (length t) t.capacity)
 
-(* A dropped packet's life ends here: account it, let the hook observe it,
-   then return the record to the pool. *)
+(* A dropped packet's life ends here: account it, then free the record. *)
 let drop t (p : Packet.t) =
   t.dropped <- t.dropped + 1;
   (match t.telem with
@@ -173,9 +163,8 @@ let drop t (p : Packet.t) =
     Tel.Sink.event tl.sink ~time_ns:(tl.now ())
       (Tel.Event.Drop
          { queue = tl.queue; flow = Packet.flow p;
-           subflow = Packet.subflow p; depth = t.len })
+           subflow = Packet.subflow p; depth = length t })
   | None -> ());
-  (match t.on_drop with Some f -> f p | None -> ());
   Packet.release p;
   false
 
@@ -183,7 +172,7 @@ let enqueue t (p : Packet.t) =
   (* a blacked-out queue refuses everything; [drop] keeps the normal
      accounting so the loss is visible in counters and Drop events *)
   if t.blackout then drop t p
-  else if t.len >= t.capacity then drop t p
+  else if length t >= t.capacity then drop t p
   else begin
     match t.policy with
     | Droptail ->
@@ -199,7 +188,7 @@ let enqueue t (p : Packet.t) =
          independent state (the marked counter), in both directions:
          a mark only ever happens above K, and above K every
          CE-markable packet is marked. *)
-      let pre = t.len in
+      let pre = length t in
       let ce_eligible = Packet.ect p && not (Packet.ce p) in
       let marked_before = t.marked in
       if pre > k then mark t p;
@@ -231,9 +220,10 @@ let enqueue t (p : Packet.t) =
   end
 
 let dequeue t =
-  if t.len = 0 then None
+  if length t = 0 then None
   else begin
-    t.len <- t.len - 1;
+    let p = Packet.Fifo.pop t.fifo in
+    let len = length t in
     (* RED idle-time correction, deterministically: classic RED decays
        [avg] by (1-wq)^m for m packet-times of idle before an arrival,
        because an average only updated on arrivals stays stale across an
@@ -245,39 +235,25 @@ let dequeue t =
        pre-idle backlog. *)
     (match t.policy with
     | Red params ->
-      t.avg <-
-        ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int t.len)
+      t.avg <- ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int len)
     | Droptail | Threshold_mark _ -> ());
     if Invariant.enabled () then
-      Invariant.require ~name:"queue.occupancy-bounds" (t.len >= 0) (fun () ->
-          Printf.sprintf "occupancy %d went negative" t.len);
-    let p = t.ring.(t.head) in
-    t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1);
+      Invariant.require ~name:"queue.occupancy-bounds" (len >= 0) (fun () ->
+          Printf.sprintf "occupancy %d went negative" len);
     (match t.telem with
     | Some tl ->
       Tel.Sink.event tl.sink ~time_ns:(tl.now ())
         (Tel.Event.Dequeue
            { queue = tl.queue; flow = Packet.flow p;
-             subflow = Packet.subflow p; depth = t.len })
+             subflow = Packet.subflow p; depth = len })
     | None -> ());
     Some p
   end
 
 let clear t =
-  let n = t.len in
-  for i = 0 to n - 1 do
-    let slot = t.head + i in
-    let slot = if slot >= t.capacity then slot - t.capacity else slot in
-    Packet.release t.ring.(slot)
-  done;
-  t.head <- 0;
-  t.len <- 0;
+  let n = Packet.Fifo.release_all t.fifo in
   t.dropped <- t.dropped + n;
   n
-
-let set_hooks t ?on_drop ?on_mark () =
-  t.on_drop <- on_drop;
-  t.on_mark <- on_mark
 
 let set_blackout t b = t.blackout <- b
 let blackout t = t.blackout
@@ -286,5 +262,6 @@ let enqueued t = t.enqueued
 let dropped t = t.dropped
 let marked t = t.marked
 let max_length_seen t = t.max_len
-let sample_length t = Xmp_stats.Running.add t.occupancy (float_of_int t.len)
+let sample_length t =
+  Xmp_stats.Running.add t.occupancy (float_of_int (length t))
 let occupancy_stats t = t.occupancy

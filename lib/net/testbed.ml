@@ -102,7 +102,6 @@ let create ~net ~n_left ~n_right ~bottlenecks
   }
 
 let net t = t.net
-let n_bottlenecks t = Array.length t.bottlenecks
 
 let left_id t i =
   if i < 0 || i >= t.n_left then invalid_arg "Testbed.left_id";

@@ -42,8 +42,6 @@ val create :
 
 val net : t -> Network.t
 
-val n_bottlenecks : t -> int
-
 val left_id : t -> int -> int
 (** Node id of sender host [i]. *)
 

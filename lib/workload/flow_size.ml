@@ -11,21 +11,32 @@ type t = {
 
 let name t = t.name
 
+(* Every comparison below is false for a nan, so finiteness is checked
+   explicitly; the size ceiling keeps sampled flows within the packet's
+   31-bit sequence space. *)
+let check_knots ~who sizes probs =
+  let fail msg = invalid_arg ("Flow_size." ^ who ^ ": " ^ msg) in
+  let n = Array.length sizes in
+  if probs.(n - 1) <> 1. then fail "last probability must be 1";
+  for i = 0 to n - 1 do
+    if not (Float.is_finite sizes.(i) && Float.is_finite probs.(i)) then
+      fail "non-finite size or probability";
+    if sizes.(i) < 1. then fail "sizes must be at least one segment";
+    if sizes.(i) > float_of_int Xmp_net.Packet.max_seq then
+      fail
+        (Printf.sprintf "sizes must be at most %d segments"
+           Xmp_net.Packet.max_seq);
+    if probs.(i) < 0. || probs.(i) > 1. then
+      fail "probabilities must lie in [0,1]";
+    if i > 0 && (sizes.(i) < sizes.(i - 1) || probs.(i) < probs.(i - 1)) then
+      fail "points must be nondecreasing"
+  done
+
 let of_points ~name points =
   if points = [] then invalid_arg "Flow_size.of_points: empty";
   let sizes = Array.of_list (List.map fst points) in
   let probs = Array.of_list (List.map snd points) in
-  let n = Array.length sizes in
-  if probs.(n - 1) <> 1. then
-    invalid_arg "Flow_size.of_points: last probability must be 1";
-  for i = 0 to n - 1 do
-    if sizes.(i) < 1. then
-      invalid_arg "Flow_size.of_points: sizes must be at least one segment";
-    if probs.(i) < 0. || probs.(i) > 1. then
-      invalid_arg "Flow_size.of_points: probabilities must lie in [0,1]";
-    if i > 0 && (sizes.(i) < sizes.(i - 1) || probs.(i) < probs.(i - 1)) then
-      invalid_arg "Flow_size.of_points: points must be nondecreasing"
-  done;
+  check_knots ~who:"of_points" sizes probs;
   { name; sizes; probs }
 
 (* Web-search (DCTCP-lineage) and data-mining (VL2-lineage) flow-size
@@ -101,14 +112,14 @@ let sample t rng =
   Stdlib.max 1 (int_of_float (Float.round (sample_float t rng)))
 
 let scaled t factor =
-  if factor <= 0. then invalid_arg "Flow_size.scaled: factor";
+  if not (Float.is_finite factor && factor > 0.) then
+    invalid_arg "Flow_size.scaled: factor";
   if factor = 1. then t
-  else
-    {
-      t with
-      name = Printf.sprintf "%s/x%.4g" t.name factor;
-      sizes = Array.map (fun s -> Float.max 1. (s *. factor)) t.sizes;
-    }
+  else begin
+    let sizes = Array.map (fun s -> Float.max 1. (s *. factor)) t.sizes in
+    check_knots ~who:"scaled" sizes t.probs;
+    { t with name = Printf.sprintf "%s/x%.4g" t.name factor; sizes }
+  end
 
 let of_file path =
   let ic = open_in path in

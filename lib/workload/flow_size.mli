@@ -10,9 +10,9 @@
 type t
 
 val of_points : name:string -> (float * float) list -> t
-(** [(size_segments, cum_prob)] knots. Sizes must be ≥ 1 segment and
-    nondecreasing; probabilities nondecreasing in [0, 1] with the last
-    equal to 1. A leading probability jump ([probs.(0) > 0]) is a point
+(** [(size_segments, cum_prob)] knots, all finite. Sizes must lie in
+    [1, {!Xmp_net.Packet.max_seq}] segments and be nondecreasing;
+    probabilities nondecreasing in [0, 1] with the last equal to 1. A leading probability jump ([probs.(0) > 0]) is a point
     mass at the smallest size. Raises [Invalid_argument] otherwise. *)
 
 val of_file : string -> t
@@ -43,4 +43,5 @@ val sample : t -> Random.State.t -> int
 val scaled : t -> float -> t
 (** [scaled t f] multiplies every knot size by [f] (clamped to ≥ 1
     segment) — for sweeping mean flow size without changing the shape.
-    Raises [Invalid_argument] if [f ≤ 0]. *)
+    Raises [Invalid_argument] if [f] is not finite and positive, or a
+    scaled size exceeds {!Xmp_net.Packet.max_seq}. *)

@@ -110,6 +110,28 @@ let test_receiver_required () =
   Alcotest.check_raises "no receiver" (Failure "Link: receiver not attached")
     (fun () -> Sim.run sim)
 
+(* A long wire holds more than the 16 packets its FIFO starts with: a
+   data burst wraps the ring once deliveries begin, then a run of ACKs
+   (25x shorter to serialize) piles onto the wrapped ring and makes it
+   grow. Deliveries must still come out in push order. *)
+let test_wire_burst_order () =
+  let sim = Sim.create () in
+  let link = mk_link ~capacity:200 ~delay:(Time.us 100) sim in
+  let arrivals = ref [] in
+  Link.set_receiver link (fun p ->
+      arrivals := Packet.seq p :: !arrivals;
+      Packet.release p);
+  let data = List.init 30 Fun.id and acks = List.init 60 (fun i -> 100 + i) in
+  List.iter (fun s -> Link.send link (mk_data s)) data;
+  List.iter
+    (fun seq ->
+      Link.send link
+        (Packet.ack ~flow:0 ~subflow:0 ~src:1 ~dst:0 ~path:0 ~seq ~ece_count:0
+           ~ts:0 ()))
+    acks;
+  Sim.run sim;
+  Alcotest.(check (list int)) "push order" (data @ acks) (List.rev !arrivals)
+
 let suite =
   [
     Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
@@ -122,4 +144,6 @@ let suite =
     Alcotest.test_case "marking behind busy link" `Quick
       test_marking_on_busy_link;
     Alcotest.test_case "receiver required" `Quick test_receiver_required;
+    Alcotest.test_case "wire burst keeps push order" `Quick
+      test_wire_burst_order;
   ]

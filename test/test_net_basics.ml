@@ -293,6 +293,91 @@ let prop_threshold_len_bounded =
           Queue_disc.length d <= 5 && Queue_disc.length d >= 0)
         ops)
 
+(* The disc's ring grows by doubling from 16 slots up to its capacity.
+   Bursty random enqueue / dequeue / clear runs against a [Stdlib.Queue]
+   model drive that growth while the ring is wrapped, and stop at
+   capacities that are tiny, not a power of two, or far above anything
+   the ring reaches. *)
+type fifo_op = Enq of int | Deq of int | Clear
+
+let fifo_ops_arb =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (5, Gen.map (fun n -> Enq n) (Gen.int_range 1 40));
+        (3, Gen.map (fun n -> Deq n) (Gen.int_range 1 40));
+        (1, Gen.return Clear);
+      ]
+  in
+  let print_op = function
+    | Enq n -> Printf.sprintf "enq %d" n
+    | Deq n -> Printf.sprintf "deq %d" n
+    | Clear -> "clear"
+  in
+  make
+    ~print:(fun (cap, marking, ops) ->
+      Printf.sprintf "capacity %d, %s: %s" cap
+        (if marking then "threshold-mark" else "droptail")
+        (String.concat "; " (List.map print_op ops)))
+    Gen.(
+      triple
+        (oneofl [ 1; 2; 3; 17; 100; 40_000 ])
+        bool
+        (list_size (int_range 1 60) op))
+
+let prop_disc_matches_fifo_model =
+  QCheck.Test.make ~count:300
+    ~name:"queue disc = FIFO model (order, drop at capacity, clear)"
+    fifo_ops_arb (fun (cap, marking, ops) ->
+      let policy =
+        if marking then Queue_disc.Threshold_mark (cap / 2)
+        else Queue_disc.Droptail
+      in
+      let d = Queue_disc.create ~policy ~capacity_pkts:cap in
+      let model = Queue.create () in
+      let next = ref 0 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let step = function
+        | Enq _ ->
+          let seq = !next in
+          incr next;
+          let full = Queue.length model = cap in
+          let accepted = Queue_disc.enqueue d (mk_data seq) in
+          check (accepted = not full);
+          if accepted then Queue.push seq model
+        | Deq _ -> (
+          match (Queue_disc.dequeue d, Queue.take_opt model) with
+          | Some p, Some seq ->
+            check (Packet.seq p = seq);
+            Packet.release p
+          | None, None -> ()
+          | Some p, None ->
+            Packet.release p;
+            check false
+          | None, Some _ -> check false)
+        | Clear ->
+          let free = Packet.pool_free () in
+          let n = Queue_disc.clear d in
+          check (n = Queue.length model);
+          check (Packet.pool_free () = free + n);
+          Queue.clear model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Enq n | Deq n ->
+            for _ = 1 to n do
+              step op
+            done
+          | Clear -> step op);
+          check (Queue_disc.length d = Queue.length model);
+          check (Queue_disc.length d <= cap))
+        ops;
+      ignore (Queue_disc.clear d);
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "rate units" `Quick test_rates;
@@ -319,4 +404,5 @@ let suite =
       test_red_average_decays_across_idle;
     Alcotest.test_case "occupancy sampling" `Quick test_occupancy_sampling;
     QCheck_alcotest.to_alcotest prop_threshold_len_bounded;
+    QCheck_alcotest.to_alcotest prop_disc_matches_fifo_model;
   ]

@@ -463,7 +463,38 @@ let test_flow_size_validation () =
       ignore (Flow_size.of_points ~name:"x" [ (5., 0.1); (2., 1.) ]));
   Alcotest.check_raises "sub-segment size"
     (Invalid_argument "Flow_size.of_points: sizes must be at least one segment")
-    (fun () -> ignore (Flow_size.of_points ~name:"x" [ (0.2, 1.) ]))
+    (fun () -> ignore (Flow_size.of_points ~name:"x" [ (0.2, 1.) ]));
+  (* nan and inf pass every ordering comparison, so each needs its own
+     rejection; so does a size past the 31-bit sequence space *)
+  let non_finite =
+    Invalid_argument "Flow_size.of_points: non-finite size or probability"
+  in
+  List.iter
+    (fun points ->
+      Alcotest.check_raises "non-finite knot" non_finite (fun () ->
+          ignore (Flow_size.of_points ~name:"x" points)))
+    [
+      [ (Float.infinity, 1.) ];
+      [ (Float.nan, 1.) ];
+      [ (1., Float.nan); (2., 1.) ];
+      [ (1., 0.5); (Float.infinity, 1.) ];
+    ];
+  let too_big =
+    Invalid_argument
+      (Printf.sprintf
+         "Flow_size.of_points: sizes must be at most %d segments"
+         Xmp_net.Packet.max_seq)
+  in
+  Alcotest.check_raises "size past max_seq" too_big (fun () ->
+      ignore (Flow_size.of_points ~name:"x" [ (1e300, 1.) ]));
+  Alcotest.check_raises "scaled past max_seq"
+    (Invalid_argument
+       (Printf.sprintf "Flow_size.scaled: sizes must be at most %d segments"
+          Xmp_net.Packet.max_seq))
+    (fun () -> ignore (Flow_size.scaled Flow_size.web_search 1e6));
+  Alcotest.check_raises "non-finite factor"
+    (Invalid_argument "Flow_size.scaled: factor") (fun () ->
+      ignore (Flow_size.scaled Flow_size.web_search Float.nan))
 
 let test_flow_size_sampling () =
   let rng = Random.State.make [| 17 |] in

@@ -58,9 +58,8 @@ let file_allowlist =
     ("stdout-in-lib", "lib/experiments/render.ml");
     (* the runner replays captured scenario output to stdout *)
     ("stdout-in-lib", "lib/runner/runner.ml");
-    (* the sanctioned stderr sinks: the structured logger itself, the
-       invariant checker's Warn mode, and the runner's progress lines *)
-    ("direct-printf", "lib/engine/slog.ml");
+    (* the sanctioned stderr sinks: the invariant checker's Warn mode and
+       the runner's progress lines *)
     ("direct-printf", "lib/check/invariant.ml");
     ("direct-printf", "lib/runner/runner.ml");
     (* the transport acquires pooled packets and hands ownership to
@@ -426,12 +425,11 @@ let check_name c ~line name =
   if List.mem name stdout_idents && lib_only c "stdout-in-lib" then
     add c ~line ~rule:"stdout-in-lib"
       (name
-     ^ " prints to stdout from lib/; route through Render/Table or Slog");
+     ^ " prints to stdout from lib/; route through Render/Table");
   if List.mem name stderr_idents && lib_only c "direct-printf" then
     add c ~line ~rule:"direct-printf"
       (name
-     ^ " is an ad-hoc stderr diagnostic in lib/; route through Slog or \
-        record telemetry instead");
+     ^ " is an ad-hoc stderr diagnostic in lib/; record telemetry instead");
   if has_prefix (last_component name) "sort" then c.sorted <- true
 
 (* A longident used as a value. *)
