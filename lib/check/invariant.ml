@@ -51,6 +51,13 @@ let reset_counters () =
   List.iter (fun c -> c := 0) (Atomic.get check_cells);
   Atomic.set violation_count 0
 
+let holds cond =
+  if Atomic.get enabled_flag then begin
+    if Atomic.get counting then incr (Domain.DLS.get check_cell_key);
+    cond
+  end
+  else true
+
 let fail ~name detail =
   Atomic.incr violation_count;
   let msg = Printf.sprintf "invariant %s violated: %s" name (detail ()) in
@@ -58,11 +65,7 @@ let fail ~name detail =
   | Raise -> raise (Violation msg)
   | Warn -> Format.eprintf "[invariant] %s@." msg
 
-let require ~name cond detail =
-  if Atomic.get enabled_flag then begin
-    if Atomic.get counting then incr (Domain.DLS.get check_cell_key);
-    if not cond then fail ~name detail
-  end
+let require ~name cond detail = if not (holds cond) then fail ~name detail
 
 let with_enabled b f =
   let saved = Atomic.get enabled_flag in

@@ -27,10 +27,31 @@ val mode : unit -> mode
 
 val set_mode : mode -> unit
 
+val holds : bool -> bool
+(** [holds cond] is one check: when checking is enabled it counts the
+    check and returns [cond]; when disabled it returns [true] without
+    counting. Hot paths pair it with {!fail} so the message closure is
+    built only on the failure branch:
+    {[
+      if not (Invariant.holds (len <= cap)) then
+        Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
+            Printf.sprintf "occupancy %d above %d" len cap)
+    ]}
+    A passing check then costs a branch or two and allocates nothing. *)
+
+val fail : name:string -> (unit -> string) -> unit
+(** [fail ~name detail] reports a violation of the invariant [name]:
+    counts it, renders [detail ()] and raises {!Violation} ([Raise]) or
+    logs one line to stderr ([Warn]). Call it only after {!holds}
+    returned [false]. *)
+
 val require : name:string -> bool -> (unit -> string) -> unit
-(** [require ~name cond detail] checks [cond] when enabled. The [detail]
-    thunk only runs on failure, so call sites pay one branch and no
-    formatting on the hot path. *)
+(** [require ~name cond detail] is
+    [if not (holds cond) then fail ~name detail]. The [detail] thunk only
+    runs on failure, but a thunk that captures variables is allocated at
+    the call site on every call, pass or fail; the simulator's hot paths
+    therefore use {!holds}/{!fail} and leave [require] to call sites off
+    the per-event path. *)
 
 val checks_run : unit -> int
 (** Checks evaluated since the last {!reset_counters}. Counting is off

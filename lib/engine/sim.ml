@@ -131,9 +131,8 @@ let check_time t time =
       (Format.asprintf "Sim: scheduling at %a before now %a" Time.pp time
          Time.pp t.now)
 
-let enqueue t time ev =
-  Event_queue.add t.heap ~time ~seq:t.next_seq ev;
-  t.next_seq <- t.next_seq + 1;
+let enqueue_seq t time seq ev =
+  Event_queue.add t.heap ~time ~seq ev;
   let len = Event_queue.length t.heap in
   if len > t.heap_peak then begin
     t.heap_peak <- len;
@@ -141,6 +140,11 @@ let enqueue t time ev =
        stays off the per-event path *)
     raise_global_peak len
   end
+
+let enqueue t time ev =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  enqueue_seq t time seq ev
 
 let acquire_event t f =
   if t.free_top > 0 then begin
@@ -191,6 +195,92 @@ let cancel (ev : timer) =
 
 let timer_active (ev : timer) = ev.live
 
+(* A lane keeps at most one entry in the heap: its head, under the lane's
+   one non-pooled event record. The firings behind the head wait in a
+   ring of (time, seq) pairs, each seq reserved from [next_seq] at push
+   time exactly as [after] would have taken it, and enter the heap under
+   that key when their predecessor fires. Keys within a lane increase, so
+   the heap holds the minimum of everything pending at every pop and the
+   dispatch order is the one eager scheduling gives. The ring stores
+   immediates only: pushing and popping run no write barrier. *)
+type lane = {
+  owner : t;
+  handler : unit -> unit;
+  ev : event;  (* [live] iff the lane's head is in the heap *)
+  mutable times : Time.t array;  (* ring of waiting firings *)
+  mutable seqs : int array;
+  mutable first : int;
+  mutable waiting : int;
+  mutable tail : Time.t;  (* time of the latest push *)
+}
+
+let lane_fire l =
+  if l.waiting > 0 then begin
+    let i = l.first in
+    l.first <- (if i + 1 = Array.length l.times then 0 else i + 1);
+    l.waiting <- l.waiting - 1;
+    l.ev.live <- true;
+    enqueue_seq l.owner l.times.(i) l.seqs.(i) l.ev
+  end;
+  l.handler ()
+
+let lane t handler =
+  let l =
+    {
+      owner = t;
+      handler;
+      ev = { run = ignore; live = false; pooled = false; heap = t.heap };
+      times = [||];
+      seqs = [||];
+      first = 0;
+      waiting = 0;
+      tail = Time.zero;
+    }
+  in
+  l.ev.run <- (fun () -> lane_fire l);
+  l
+
+(* doubles the ring, unwrapping it so the waiting firings start at 0 *)
+let grow_lane l =
+  let cap = Array.length l.times in
+  let cap' = Stdlib.max 8 (2 * cap) in
+  let times' = Array.make cap' 0 and seqs' = Array.make cap' 0 in
+  for k = 0 to l.waiting - 1 do
+    let i = (l.first + k) mod cap in
+    times'.(k) <- l.times.(i);
+    seqs'.(k) <- l.seqs.(i)
+  done;
+  l.times <- times';
+  l.seqs <- seqs';
+  l.first <- 0
+
+let lane_at l time =
+  let t = l.owner in
+  check_time t time;
+  (* the clock never passes a pending firing, so once the lane has
+     drained its last push is at or before [now] and this test is
+     vacuous *)
+  if Time.compare time l.tail < 0 then
+    invalid_arg
+      (Format.asprintf "Sim.lane_at: firing at %a before the lane's last, %a"
+         Time.pp time Time.pp l.tail);
+  l.tail <- time;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if not l.ev.live then begin
+    l.ev.live <- true;
+    enqueue_seq t time seq l.ev
+  end
+  else begin
+    if l.waiting = Array.length l.times then grow_lane l;
+    let cap = Array.length l.times in
+    let i = l.first + l.waiting in
+    let i = if i >= cap then i - cap else i in
+    l.times.(i) <- time;
+    l.seqs.(i) <- seq;
+    l.waiting <- l.waiting + 1
+  end
+
 (* Dispatch mechanics shared by [step] and the [run] loop; the caller has
    already established the heap is non-empty and read the top's time. *)
 let dispatch_top t time =
@@ -198,9 +288,9 @@ let dispatch_top t time =
   if ev.live then begin
       if Invariant.enabled () <> t.invariants then
         Invariant.set_enabled t.invariants;
-      if t.invariants then
-        Invariant.require ~name:"sim.dispatch-monotone"
-          (Time.compare time t.now >= 0) (fun () ->
+      if t.invariants && not (Invariant.holds (Time.compare time t.now >= 0))
+      then
+        Invariant.fail ~name:"sim.dispatch-monotone" (fun () ->
             Format.asprintf "event at %a dispatched after clock reached %a"
               Time.pp time Time.pp t.now);
       t.now <- time;

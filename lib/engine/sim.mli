@@ -8,7 +8,14 @@
     Cancelled timers are deleted lazily: {!cancel} is O(1) and the heap
     compacts itself once dead entries outnumber half the live ones, so
     pending-event count stays O(live timers) under per-ACK timer churn
-    (see {!stats}). Compaction is invisible to dispatch order. *)
+    (see {!stats}). Compaction is invisible to dispatch order.
+
+    A {!lane} carries a stream of firings that share one handler and come
+    due in nondecreasing time order — a link's deliveries, whose
+    propagation delay is constant. Only the lane's earliest firing sits
+    in the event heap, so the heap holds O(lanes + timers) entries rather
+    than one per packet in flight, with the same dispatch order as
+    scheduling every firing with {!after}. *)
 
 type t
 
@@ -36,7 +43,9 @@ type stats = {
   executed : int;  (** live events dispatched *)
   cancelled_skipped : int;
       (** cancelled entries popped and skipped without dispatch *)
-  heap_peak : int;  (** largest pending-event count ever reached *)
+  heap_peak : int;
+      (** largest event-heap size ever reached (see {!pending}: one entry
+          per lane however many firings it holds) *)
   rebuilds : int;  (** lazy-deletion compactions of the event heap *)
 }
 
@@ -77,9 +86,11 @@ val global_heap_peak : unit -> int
 val reset_global_heap_peak : unit -> unit
 
 val pending : t -> int
-(** Number of events still queued (cancelled timers not yet reaped
+(** Number of entries in the event heap: events scheduled with {!at},
+    {!after} and the timer functions (cancelled timers not yet reaped
     included — bounded at 1.5× the live count by lazy-deletion
-    compaction). *)
+    compaction), plus one per lane with a firing due: a lane's firings
+    behind its earliest are not counted. *)
 
 val next_event_time : t -> Time.t
 (** Timestamp of the earliest queued event (cancelled entries included),
@@ -108,11 +119,27 @@ val cancel : timer -> unit
 val timer_active : timer -> bool
 (** True if the timer is scheduled and neither fired nor cancelled. *)
 
+type lane
+(** A FIFO of firings of one handler, at nondecreasing times. *)
+
+val lane : t -> (unit -> unit) -> lane
+(** [lane sim f] is an empty lane whose firings each run [f ()]. *)
+
+val lane_at : lane -> Time.t -> unit
+(** [lane_at l time] schedules one firing of [l]'s handler at absolute
+    [time]. The firing's place among same-time events is fixed now,
+    exactly as {!at} fixes it, although it enters the event heap only
+    when the lane's previous firing runs. Raises [Invalid_argument] if
+    [time] is before now or before the lane's latest firing. *)
+
 val run : ?until:Time.t -> t -> unit
 (** Runs events until the heap is empty, or until the clock would pass
     [until]. The clock is left at the last executed event's time (or at
     [until] if a cutoff was hit). Events scheduled exactly at [until] do
-    run. *)
+    run. A cancelled timer that reaches the top of the heap also moves
+    the clock to its time, so a heap that drains with cancelled timers
+    last leaves the clock at the latest of those not compacted away
+    first — which depends on the heap's size. *)
 
 val step : t -> bool
 (** Executes the single earliest event. Returns [false] if none is queued. *)

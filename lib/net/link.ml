@@ -4,12 +4,14 @@ module Invariant = Xmp_check.Invariant
 
 module Tel = Xmp_telemetry
 
-(* The serialize-complete and deliver events are the two hottest closures
-   in the simulator (two per packet per hop). Both are allocated once per
-   link: the serializing packet sits in the [tx] register (only one
-   packet serializes at a time), and in-flight packets sit in the [wire]
-   FIFO (propagation delay is constant per link, so deliveries
-   complete in push order and each deliver event pops the head). *)
+(* The serialize-complete and deliver events are the two hottest events
+   in the simulator (two per packet per hop). Both handlers are allocated
+   once per link: the serializing packet sits in the [tx] register (only
+   one packet serializes at a time), and in-flight packets sit in the
+   [wire] FIFO. Propagation delay is constant per link, so deliveries
+   complete in push order: they run as one [Sim.lane], which keeps one
+   event-heap entry per link however many packets are on the wire, and
+   each firing pops the wire's head. *)
 type t = {
   sim : Sim.t;
   id : int;
@@ -28,7 +30,6 @@ type t = {
   mutable tx : Packet.t;  (* the packet currently serializing *)
   wire : Packet.Fifo.t;  (* in-flight packets, in push order *)
   mutable on_serialized : unit -> unit;  (* preallocated, see [create] *)
-  mutable on_deliver : unit -> unit;
   (* resolved once at creation iff the sim's sink is active *)
   c_tx_packets : Tel.Metric.Counter.t option;
   c_tx_bytes : Tel.Metric.Counter.t option;
@@ -38,9 +39,12 @@ let no_receiver _ = failwith "Link: receiver not attached"
 
 let rec transmit t (p : Packet.t) =
   t.busy <- true;
-  if Invariant.enabled () then
-    Invariant.require ~name:"link.queue-within-capacity"
-      (Queue_disc.length t.disc <= Queue_disc.capacity t.disc) (fun () ->
+  if
+    not
+      (Invariant.holds
+         (Queue_disc.length t.disc <= Queue_disc.capacity t.disc))
+  then
+    Invariant.fail ~name:"link.queue-within-capacity" (fun () ->
         Printf.sprintf "%s holds %d packets, capacity %d" t.name
           (Queue_disc.length t.disc)
           (Queue_disc.capacity t.disc));
@@ -49,7 +53,7 @@ let rec transmit t (p : Packet.t) =
     (if Packet.is_ack p then t.tx_ns_ack else t.tx_ns_data)
     t.on_serialized
 
-and serialized t =
+and serialized t deliveries =
   let p = t.tx in
   t.bytes_sent <- t.bytes_sent + Packet.size p;
   t.packets_sent <- t.packets_sent + 1;
@@ -64,7 +68,7 @@ and serialized t =
      serializes. Deliver only if the link is still up. *)
   if t.up then begin
     Packet.Fifo.push t.wire p;
-    Sim.after t.sim t.delay t.on_deliver
+    Sim.lane_at deliveries (Time.add (Sim.now t.sim) t.delay)
   end
   else Packet.release p;
   match Queue_disc.dequeue t.disc with
@@ -111,13 +115,12 @@ let create ~sim ~id ~name ~rate ~delay ~disc =
       tx = Packet.dummy;
       wire = Packet.Fifo.create ();
       on_serialized = ignore;
-      on_deliver = ignore;
       c_tx_packets;
       c_tx_bytes;
     }
   in
-  t.on_serialized <- (fun () -> serialized t);
-  t.on_deliver <- (fun () -> deliver t);
+  let deliveries = Sim.lane sim (fun () -> deliver t) in
+  t.on_serialized <- (fun () -> serialized t deliveries);
   t
 
 let set_receiver t f = t.receiver <- f

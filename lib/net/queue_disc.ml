@@ -148,11 +148,9 @@ let append t (p : Packet.t) =
          { queue = tl.queue; flow = Packet.flow p;
            subflow = Packet.subflow p; depth = len })
   | None -> ());
-  (* built per call: reading [length t] keeps the closure to [t] alone *)
-  if Invariant.enabled () then
-    Invariant.require ~name:"queue.occupancy-bounds"
-      (len >= 0 && len <= t.capacity) (fun () ->
-        Printf.sprintf "occupancy %d outside [0, %d]" (length t) t.capacity)
+  if not (Invariant.holds (len >= 0 && len <= t.capacity)) then
+    Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
+        Printf.sprintf "occupancy %d outside [0, %d]" len t.capacity)
 
 (* A dropped packet's life ends here: account it, then free the record. *)
 let drop t (p : Packet.t) =
@@ -193,11 +191,13 @@ let enqueue t (p : Packet.t) =
       let marked_before = t.marked in
       if pre > k then mark t p;
       append t p;
-      if Invariant.enabled () then
-        Invariant.require ~name:"queue.mark-above-threshold"
-          (if t.marked > marked_before then pre > k
-           else not (pre > k && ce_eligible))
-          (fun () ->
+      if
+        not
+          (Invariant.holds
+             (if t.marked > marked_before then pre > k
+              else not (pre > k && ce_eligible)))
+      then
+        Invariant.fail ~name:"queue.mark-above-threshold" (fun () ->
             Printf.sprintf
               "ECN decision at pre-enqueue occupancy %d disagrees with K=%d \
                (marked %b, eligible %b)"
@@ -237,8 +237,8 @@ let dequeue t =
     | Red params ->
       t.avg <- ((1. -. params.wq) *. t.avg) +. (params.wq *. float_of_int len)
     | Droptail | Threshold_mark _ -> ());
-    if Invariant.enabled () then
-      Invariant.require ~name:"queue.occupancy-bounds" (len >= 0) (fun () ->
+    if not (Invariant.holds (len >= 0)) then
+      Invariant.fail ~name:"queue.occupancy-bounds" (fun () ->
           Printf.sprintf "occupancy %d went negative" len);
     (match t.telem with
     | Some tl ->

@@ -249,17 +249,20 @@ and refresh_rto t =
 
 and send_pending t =
   if not t.torn_down then begin
-    if Invariant.enabled () then begin
-      Invariant.require ~name:"tcp.cwnd-at-least-one-mss"
-        (t.cc.Cc.cwnd () >= 1.) (fun () ->
+    (* one read serves the check and the window: [cwnd ()] is an
+       indirect call whose float result may be boxed *)
+    let cwnd = t.cc.Cc.cwnd () in
+    if not (Invariant.holds (cwnd >= 1.)) then
+      Invariant.fail ~name:"tcp.cwnd-at-least-one-mss" (fun () ->
           Printf.sprintf "flow %d subflow %d: %s cwnd %.3f < 1 segment" t.flow
-            t.subflow t.cc.Cc.name (t.cc.Cc.cwnd ()));
-      Invariant.require ~name:"tcp.inflight-conservation"
-        (t.snd_una <= t.snd_nxt && t.snd_nxt <= t.snd_max) (fun () ->
+            t.subflow t.cc.Cc.name cwnd);
+    if
+      not (Invariant.holds (t.snd_una <= t.snd_nxt && t.snd_nxt <= t.snd_max))
+    then
+      Invariant.fail ~name:"tcp.inflight-conservation" (fun () ->
           Printf.sprintf "flow %d subflow %d: una=%d nxt=%d max=%d" t.flow
-            t.subflow t.snd_una t.snd_nxt t.snd_max)
-    end;
-    let window = Stdlib.max 1 (int_of_float (t.cc.Cc.cwnd ())) in
+            t.subflow t.snd_una t.snd_nxt t.snd_max);
+    let window = Stdlib.max 1 (int_of_float cwnd) in
     if flight t < window then begin
       (* skip segments the SACK scoreboard says the receiver already has *)
       if not (Seqset.is_empty t.sacked) then
@@ -440,9 +443,8 @@ let sender_rx t (p : Packet.t) =
     let sack_advanced = ingest_sack t p in
     let ack = Packet.seq p in
     if ack > t.snd_una then begin
-      if Invariant.enabled () then
-        Invariant.require ~name:"tcp.ack-within-sent" (ack <= t.snd_max)
-          (fun () ->
+      if not (Invariant.holds (ack <= t.snd_max)) then
+        Invariant.fail ~name:"tcp.ack-within-sent" (fun () ->
             Printf.sprintf "flow %d subflow %d: cumulative ACK %d beyond \
                             snd_max %d"
               t.flow t.subflow ack t.snd_max);

@@ -154,6 +154,59 @@ let test_two_sims_keep_their_own_invariant_flag () =
         Alcotest.(check bool) "names the invariant" true
           (contains ~sub:"two-sims.on" msg))
 
+(* A passing check allocates nothing: the message closure is built only
+   on the failure path. The same ECN-marked transfer with checks on and
+   off must allocate the same minor words, up to a tenth of a word per
+   event (the Gc reads themselves, and nothing that scales with the
+   run). *)
+let minor_words_per_event ~invariants =
+  let sim =
+    Sim.create
+      ~config:{ Sim.default_config with seed = 3; invariants = Some invariants }
+      ()
+  in
+  let net = Net.Network.create sim in
+  let disc () =
+    Net.Queue_disc.create ~policy:(Net.Queue_disc.Threshold_mark 10)
+      ~capacity_pkts:40
+  in
+  let tb =
+    Testbed.create ~net ~n_left:1 ~n_right:1
+      ~bottlenecks:
+        [ { Testbed.rate = Net.Units.mbps 100.; delay = Time.us 50; disc } ]
+      ()
+  in
+  let conn =
+    Tcp.create ~net ~flow:1 ~subflow:0 ~src:(Testbed.left_id tb 0)
+      ~dst:(Testbed.right_id tb 0) ~path:0
+      ~cc:(fun view ->
+        Xmp_transport.Reno.make
+          ~params:{ Xmp_transport.Reno.default_params with ecn = true }
+          view)
+      ~config:Tcp.ecn_config
+      ~source:(Tcp.Limited (ref 20_000))
+      ()
+  in
+  let before = Gc.minor_words () in
+  Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "transfer completed" true (Tcp.is_complete conn);
+  words /. float_of_int (Sim.events_executed sim)
+
+let test_passing_checks_allocate_nothing () =
+  let saved = Invariant.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Invariant.set_enabled saved)
+    (fun () ->
+      Invariant.reset_counters ();
+      let on = minor_words_per_event ~invariants:true in
+      Alcotest.(check bool) "checks ran" true (Invariant.checks_run () > 0);
+      let off = minor_words_per_event ~invariants:false in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3f words/event on vs %.3f off" on off)
+        true
+        (on -. off <= 0.1))
+
 let suite =
   [
     Alcotest.test_case "require true counts, does not raise" `Quick
@@ -170,4 +223,6 @@ let suite =
       test_sub_mss_cwnd_ignored_when_disabled;
     Alcotest.test_case "two sims keep their own invariant flag" `Quick
       test_two_sims_keep_their_own_invariant_flag;
+    Alcotest.test_case "passing checks allocate nothing" `Quick
+      test_passing_checks_allocate_nothing;
   ]

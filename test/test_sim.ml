@@ -153,6 +153,121 @@ let test_cascade () =
   Alcotest.(check int) "chain length" 1000 !count;
   Alcotest.(check int) "clock" 999 (Sim.now sim)
 
+(* ----- lanes ----- *)
+
+(* A random script of scheduling operations, each issued by a driver
+   event at a small (hence often colliding) time. *)
+type lane_op =
+  | Push of int * int  (* lane, delay: one lane firing *)
+  | At of int  (* delay: a plain event *)
+  | Timer of int  (* delay: a cancellable timer *)
+  | Cancel of int  (* index of a timer made earlier, if any *)
+
+let n_lanes = 3
+
+(* Runs the script with every lane firing either pushed onto a
+   [Sim.lane] or scheduled eagerly with [Sim.at], and returns the log of
+   what fired, when, and the number of events run. Every third firing of
+   a lane pushes one more firing onto the next lane (the same lane when
+   [n_lanes] wraps round), so pushes also come from inside lane
+   handlers. The clock left after the last firing is not compared: a
+   trailing cancelled timer moves it only if compaction has not removed
+   the timer first, and lanes change the heap's size and so when
+   compaction runs (see [Sim.run]). *)
+let run_lane_script ~use_lanes script =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s@%d" s (Sim.now sim) :: !log in
+  let fired = Array.make n_lanes 0 in
+  let tails = Array.make n_lanes 0 in
+  let lanes = Array.make n_lanes None in
+  let rec fire l () =
+    fired.(l) <- fired.(l) + 1;
+    note (Printf.sprintf "L%d.%d" l fired.(l));
+    if fired.(l) mod 3 = 0 then push ((l + 1) mod n_lanes) 1
+  and push l d =
+    let time = Stdlib.max (Sim.now sim + d) tails.(l) in
+    tails.(l) <- time;
+    match lanes.(l) with
+    | Some lane -> Sim.lane_at lane time
+    | None -> Sim.at sim time (fire l)
+  in
+  if use_lanes then
+    Array.iteri (fun l _ -> lanes.(l) <- Some (Sim.lane sim (fire l))) lanes;
+  let timers = ref [||] in
+  List.iteri
+    (fun i (at, op) ->
+      Sim.at sim at (fun () ->
+          match op with
+          | Push (l, d) -> push l d
+          | At d -> Sim.after sim d (fun () -> note (Printf.sprintf "A%d" i))
+          | Timer d ->
+            let tm =
+              Sim.timer_after sim d (fun () -> note (Printf.sprintf "T%d" i))
+            in
+            timers := Array.append !timers [| tm |]
+          | Cancel k ->
+            if k < Array.length !timers then Sim.cancel !timers.(k)))
+    script;
+  Sim.run sim;
+  (List.rev !log, Sim.events_executed sim)
+
+let lane_script_gen =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 60)
+      (pair (int_bound 8)
+         (oneof
+            [
+              map (fun (l, d) -> Push (l, d))
+                (pair (int_bound (n_lanes - 1)) (int_bound 4));
+              map (fun d -> At d) (int_bound 4);
+              map (fun d -> Timer d) (int_bound 4);
+              map (fun k -> Cancel k) (int_bound 9);
+            ])))
+
+let prop_lane_order =
+  QCheck.Test.make ~count:500
+    ~name:"lane firings interleave exactly as eager scheduling"
+    lane_script_gen (fun script ->
+      run_lane_script ~use_lanes:true script
+      = run_lane_script ~use_lanes:false script)
+
+let test_lane_heap_entry () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let lane = Sim.lane sim (fun () -> fired := Sim.now sim :: !fired) in
+  for i = 1 to 100 do
+    Sim.lane_at lane (10 * i)
+  done;
+  Alcotest.(check int) "one heap entry for 100 firings" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list int)) "fired in push order"
+    (List.init 100 (fun i -> 10 * (i + 1)))
+    (List.rev !fired);
+  Alcotest.(check int) "drained" 0 (Sim.pending sim);
+  Alcotest.(check int) "heap peak" 1 (Sim.stats sim).Sim.heap_peak
+
+let test_lane_rejects_out_of_order () =
+  let sim = Sim.create () in
+  let lane = Sim.lane sim ignore in
+  Sim.lane_at lane 50;
+  Alcotest.(check bool) "push before the lane's last raises" true
+    (match Sim.lane_at lane 40 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Sim.lane_at lane 50;
+  Sim.run sim;
+  Alcotest.(check int) "both firings ran" 2 (Sim.events_executed sim);
+  Alcotest.(check bool) "push before now raises" true
+    (match Sim.lane_at lane 10 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Sim.lane_at lane 50;
+  Sim.run sim;
+  Alcotest.(check int) "a drained lane takes a push at now" 3
+    (Sim.events_executed sim)
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial;
@@ -172,4 +287,8 @@ let suite =
     Alcotest.test_case "cancelled entry skipped at pop" `Quick
       test_cancelled_entry_skipped_at_pop;
     Alcotest.test_case "event cascade" `Quick test_cascade;
+    QCheck_alcotest.to_alcotest prop_lane_order;
+    Alcotest.test_case "lane keeps one heap entry" `Quick test_lane_heap_entry;
+    Alcotest.test_case "lane rejects out-of-order pushes" `Quick
+      test_lane_rejects_out_of_order;
   ]

@@ -16,13 +16,13 @@ type rig = {
 
 (* 100 Mbps bottleneck, ~140 us zero-load RTT *)
 let make_rig ?(rate = Net.Units.mbps 100.) ?(capacity = 100)
-    ?(policy = Queue_disc.Droptail) () =
+    ?(policy = Queue_disc.Droptail) ?(delay = Time.us 50) () =
   let sim = Sim.create ~config:{ Sim.default_config with seed = 5 } () in
   let net = Net.Network.create sim in
   let disc () = Queue_disc.create ~policy ~capacity_pkts:capacity in
   let tb =
     Testbed.create ~net ~n_left:2 ~n_right:2
-      ~bottlenecks:[ { Testbed.rate; delay = Time.us 50; disc } ]
+      ~bottlenecks:[ { Testbed.rate; delay; disc } ]
       ~access_delay:(Time.us 10) ()
   in
   { sim; net; tb }
@@ -228,6 +228,29 @@ let test_cc_name_and_metadata () =
   Alcotest.(check int) "path" 0 (Tcp.path conn);
   Alcotest.(check int) "started at now" 0 (Tcp.started_at conn)
 
+(* A link's deliveries share one event-heap entry, so the heap is sized
+   by the links and timers, not by the packets in flight: a window of
+   thousands of segments over a 1 Gbps / 40 ms path leaves it small. *)
+let test_heap_bounded_at_high_bdp () =
+  let rig =
+    make_rig ~rate:(Net.Units.gbps 1.) ~capacity:20_000 ~delay:(Time.ms 40) ()
+  in
+  let conn = make_conn rig in
+  let max_flight = ref 0 in
+  let rec probe () =
+    max_flight := Stdlib.max !max_flight (Tcp.flight conn);
+    Sim.after rig.sim (Time.ms 1) probe
+  in
+  Sim.at rig.sim 0 probe;
+  Sim.run ~until:(Time.sec 1.5) rig.sim;
+  Alcotest.(check bool)
+    (Printf.sprintf "over 3000 packets in flight (max %d)" !max_flight)
+    true (!max_flight > 3000);
+  let peak = (Sim.stats rig.sim).Sim.heap_peak in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap peak %d under 200" peak)
+    true (peak < 200)
+
 let suite =
   [
     Alcotest.test_case "limited transfer completes" `Quick
@@ -249,4 +272,6 @@ let suite =
     Alcotest.test_case "two flows share fairly" `Quick
       test_two_flows_share_fairly;
     Alcotest.test_case "metadata accessors" `Quick test_cc_name_and_metadata;
+    Alcotest.test_case "heap bounded at high BDP" `Quick
+      test_heap_bounded_at_high_bdp;
   ]
